@@ -281,7 +281,22 @@ def criterion_05_reduct_restriction(level: str):
         if got != reduct_of(induced_nary(stage, sub)):
             return False, f"trace mismatch on {sorted(sub)}"
         done += 1
-    return True, f"{done} grown-stage strong subsets, bit-exact equality"
+    # grown stages of this size have empty reducts; lifts realise clique extensions
+    lifted = with_cliques = 0
+    while lifted < want:
+        a, b_c = _lift_input(rng)
+        m, _ = lift(a, b_c)
+        hull = strong_hull(m, random_subset(rng, m.universe, max_take=4))
+        for sub in (m.universe, a.universe, hull):
+            got = reduct_within(m, sub)  # raises on disagreement
+            if got != reduct_of(induced_nary(m, sub)):
+                return False, f"trace mismatch on {sorted(sub)} of a lifted structure"
+            with_cliques += bool(got.maxcliques)
+        lifted += 1
+    if not with_cliques:
+        return False, "no checked subset of a lifted structure has a reduct clique"
+    return True, (f"{done} grown-stage and {3 * lifted} lifted-structure strong subsets "
+                  f"({with_cliques} with reduct cliques), bit-exact equality")
 
 
 # ------------------------------------------------------------- criterion 6
@@ -308,12 +323,9 @@ def _random_clique_extension(rng, a_c):
     return CliqueStructure(a_c.params, frozenset(universe), frozenset(cliques))
 
 
-def criterion_06_lift(level: str):
-    """Lifted extensions keep the base strong and induce the clique extension."""
-    want = 100 if level == "full" else 12
-    rng = random.Random(6)
-    done = 0
-    while done < want:
+def _lift_input(rng):
+    """A random in-class tuple (3,1) structure and a strong clique extension of its reduct."""
+    while True:
         a = random_nary_in_class(rng, P31, 5)
         a_c = reduct_of(a)
         b_c = _random_clique_extension(rng, a_c)
@@ -321,6 +333,16 @@ def criterion_06_lift(level: str):
             continue
         if induced_clique(b_c, a.universe) != a_c or not is_strong(b_c, a.universe):
             continue
+        return a, b_c
+
+
+def criterion_06_lift(level: str):
+    """Lifted extensions keep the base strong and induce the clique extension."""
+    want = 100 if level == "full" else 12
+    rng = random.Random(6)
+    done = 0
+    while done < want:
+        a, b_c = _lift_input(rng)
         lifted, _ = lift(a, b_c)  # asserts its postconditions
         if not is_strong(lifted, a.universe):
             return False, "base not strong in lift"

@@ -23,8 +23,8 @@ from .amalgam import amalgam
 from .errors import DomainError, FormatError
 from .predimension import in_class, is_strong
 from .structures import (CliqueStructure, ClassParams, Embedding,
-                         NaryStructure, Structure, canonical_key, induced,
-                         iter_embeddings, relabel)
+                         NaryStructure, Structure, induced, iter_embeddings,
+                         relabel)
 
 _ENUMERATION_GUARD = 2_000_000
 
@@ -53,7 +53,76 @@ def _count_guard(total: int, what: str) -> None:
                           f"reduce the size bounds")
 
 
+def _move_tuple(perm: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(perm[e] for e in t)
+
+
+def _move_clique(perm: tuple[int, ...], k: frozenset) -> frozenset:
+    return frozenset(tuple(perm[e] for e in t) for t in k)
+
+
+def _orbit_types(size: int, pool: list, move, candidates: Iterable[tuple[int, ...]],
+                 build, in_class_only: bool, up_to_iso: bool):
+    """Classify candidate structures one isomorphism orbit at a time.
+
+    `pool` is the sorted list of tuples or cliques a structure is made of, and
+    a candidate is a sorted tuple of pool indices.  The candidates must be
+    closed under permutations of range(size), and those of each length must
+    come in increasing order, each once.  A permutation keeps the length, so
+    the first member of an orbit to come is its least image; as the pool is
+    sorted, comparing index tuples compares relational encodings, and that
+    image is what `canonical_key` finds.  `in_class` runs once per orbit, on
+    that member, and the orbit's other members are crossed off as they come.
+
+    Returns (structure, automorphisms) pairs in the order of their orbits'
+    least images, and in visiting order within an orbit.  Under `up_to_iso`
+    each orbit gives one pair: its first member, with the permutations of
+    range(size) that fix it.  Otherwise every kept candidate gives one, with
+    no automorphisms.
+    """
+    index = {c: i for i, c in enumerate(pool)}
+    maps = [(perm, [index[move(perm, c)] for c in pool])
+            for perm in itertools.permutations(range(size))]
+    out = []
+    pending = {}  # unvisited member of a classified orbit -> (least image, kept)
+    for cand in candidates:
+        if cand in pending:
+            least, keep = pending.pop(cand)
+            if keep and not up_to_iso:
+                out.append((least, build(cand), ()))
+            continue
+        a = build(cand)
+        keep = not in_class_only or in_class(a)
+        autos = []
+        for perm, image in maps:
+            moved = tuple(sorted(image[i] for i in cand))
+            if moved == cand:
+                autos.append(perm)
+            else:
+                pending[moved] = (cand, keep)
+        if keep:
+            out.append((cand, a, tuple(autos) if up_to_iso else ()))
+    out.sort(key=lambda entry: entry[0])
+    return tuple((a, autos) for _, a, autos in out)
+
+
 @lru_cache(maxsize=64)
+def _nary_types(params: ClassParams, size: int, max_relations: Optional[int],
+                in_class_only: bool, up_to_iso: bool):
+    universe = frozenset(range(size))
+    pool = sorted(itertools.permutations(range(size), params.n)) if size >= params.n else []
+    budget = size if max_relations is None else max_relations
+    total = sum(comb(len(pool), k) for k in range(min(budget, len(pool)) + 1))
+    _count_guard(total, "tuple structures")
+    candidates = (rel for k in range(min(budget, len(pool)) + 1)
+                  for rel in itertools.combinations(range(len(pool)), k))
+
+    def build(rel: tuple[int, ...]) -> NaryStructure:
+        return NaryStructure(params, universe, frozenset(pool[i] for i in rel))
+
+    return _orbit_types(size, pool, _move_tuple, candidates, build, in_class_only, up_to_iso)
+
+
 def enumerate_nary_structures(params: ClassParams, size: int,
                               max_relations: Optional[int] = None,
                               in_class_only: bool = True,
@@ -61,29 +130,12 @@ def enumerate_nary_structures(params: ClassParams, size: int,
     """All tuple structures on universe {0..size-1}, optionally in class and up to isomorphism.
 
     `max_relations` caps |R| (defaults to `size`, the in-class bound on the
-    full universe), keeping the enumeration finite-friendly.
+    full universe), keeping the enumeration finite-friendly.  Representatives
+    are canonical (`structure_from_key(canonical_key(a)) == a`) and come in
+    `canonical_key` order.
     """
-    universe = frozenset(range(size))
-    pool = sorted(itertools.permutations(range(size), params.n)) if size >= params.n else []
-    budget = size if max_relations is None else max_relations
-    total = sum(comb(len(pool), k) for k in range(min(budget, len(pool)) + 1))
-    _count_guard(total, "tuple structures")
-    out = []
-    seen = set()
-    for k in range(min(budget, len(pool)) + 1):
-        for rel in itertools.combinations(pool, k):
-            a = NaryStructure(params, universe, frozenset(rel))
-            if in_class_only and not in_class(a):
-                continue
-            if up_to_iso:
-                key = canonical_key(a)
-                if key in seen:
-                    continue
-                seen.add(key)
-                a = structure_from_key(key)
-            out.append(a)
-    out.sort(key=canonical_key)
-    return tuple(out)
+    return tuple(a for a, _ in _nary_types(params, size, max_relations,
+                                           in_class_only, up_to_iso))
 
 
 def _compatible(k1: frozenset, k2: frozenset, s: int) -> bool:
@@ -91,10 +143,7 @@ def _compatible(k1: frozenset, k2: frozenset, s: int) -> bool:
 
 
 @lru_cache(maxsize=64)
-def enumerate_clique_structures(params: ClassParams, size: int,
-                                in_class_only: bool = True,
-                                up_to_iso: bool = True) -> tuple[CliqueStructure, ...]:
-    """All clique structures (pairwise intersections < s) on universe {0..size-1}."""
+def _clique_types(params: ClassParams, size: int, in_class_only: bool, up_to_iso: bool):
     s = params.s
     universe = frozenset(range(size))
     members = sorted(itertools.permutations(range(size), params.r)) if size >= params.r else []
@@ -106,51 +155,51 @@ def enumerate_clique_structures(params: ClassParams, size: int,
         for k in itertools.combinations(members, c):
             cliques.append(frozenset(k))
     cliques.sort(key=lambda k: sorted(k))
-
-    out = []
-    seen = set()
     visited = 0
 
-    def emit(family: list[frozenset]):
-        a = CliqueStructure(params, universe, frozenset(family))
-        if in_class_only and not in_class(a):
-            return
-        if up_to_iso:
-            key = canonical_key(a)
-            if key in seen:
-                return
-            seen.add(key)
-            a = structure_from_key(key)
-        out.append(a)
-
-    def rec(start: int, family: list[frozenset], weight: int):
+    def families(start: int, family: list[int], weight: int):
+        # depth first, so every length comes in increasing order
         nonlocal visited
         visited += 1
         _count_guard(visited, "clique families")
-        emit(family)
+        yield tuple(family)
         for i in range(start, len(cliques)):
             k = cliques[i]
             w = len(k) - (s - 1)
             if max_weight is not None and weight + w > max_weight:
                 continue
-            if all(_compatible(k, other, s) for other in family):
-                family.append(k)
-                rec(i + 1, family, weight + w)
+            if all(_compatible(k, cliques[j], s) for j in family):
+                family.append(i)
+                yield from families(i + 1, family, weight + w)
                 family.pop()
 
-    rec(0, [], 0)
-    out.sort(key=canonical_key)
-    return tuple(out)
+    def build(family: tuple[int, ...]) -> CliqueStructure:
+        return CliqueStructure(params, universe, frozenset(cliques[i] for i in family))
+
+    return _orbit_types(size, cliques, _move_clique, families(0, [], 0), build,
+                        in_class_only, up_to_iso)
+
+
+def enumerate_clique_structures(params: ClassParams, size: int,
+                                in_class_only: bool = True,
+                                up_to_iso: bool = True) -> tuple[CliqueStructure, ...]:
+    """All clique structures (pairwise intersections < s) on universe {0..size-1}."""
+    return tuple(a for a, _ in _clique_types(params, size, in_class_only, up_to_iso))
+
+
+def _types(kind: str, params: ClassParams, size: int,
+           in_class_only: bool = True, up_to_iso: bool = True):
+    if kind == "nary":
+        return _nary_types(params, size, None, in_class_only, up_to_iso)
+    if kind == "clique":
+        return _clique_types(params, size, in_class_only, up_to_iso)
+    raise DomainError(f"unknown structure kind {kind!r}")
 
 
 def enumerate_structures(kind: str, params: ClassParams, size: int,
                          in_class_only: bool = True,
                          up_to_iso: bool = True) -> tuple[Structure, ...]:
-    if kind == "nary":
-        return enumerate_nary_structures(params, size, None, in_class_only, up_to_iso)
-    if kind == "clique":
-        return enumerate_clique_structures(params, size, in_class_only, up_to_iso)
-    raise DomainError(f"unknown structure kind {kind!r}")
+    return tuple(a for a, _ in _types(kind, params, size, in_class_only, up_to_iso))
 
 
 @dataclass(frozen=True)
@@ -172,22 +221,28 @@ class PairType:
 @lru_cache(maxsize=32)
 def enumerate_extension_pairs(kind: str, params: ClassParams,
                               max_size: int) -> tuple[PairType, ...]:
-    """Isomorphism types of strong pairs A <= B in class with 0 < |B| <= max_size."""
-    pairs = {}
+    """Isomorphism types of strong pairs A <= B in class with 0 < |B| <= max_size.
+
+    Types come in (|B|, |A|, `canonical_key(B, A)`) order.  Each B is
+    canonical, so that key is B's own encoding followed by the least sorted
+    image of A under B's automorphisms; `is_strong` runs once per such image.
+    """
+    found = []
     for size in range(1, max_size + 1):
-        for b in enumerate_structures(kind, params, size):
-            elems = b.sorted_universe()
-            for k in range(len(elems)):
-                for sub in itertools.combinations(elems, k):
-                    base = frozenset(sub)
-                    if not is_strong(b, base):
+        for rank, (b, autos) in enumerate(_types(kind, params, size)):
+            known = set()
+            for k in range(size):
+                for sub in itertools.combinations(range(size), k):
+                    least = min(tuple(sorted(perm[e] for e in sub)) for perm in autos)
+                    if least in known:
                         continue
-                    key = canonical_key(b, base)
-                    if key not in pairs:
-                        pairs[key] = PairType(b, base)
-    ordered = sorted(pairs.items(),
-                     key=lambda kv: (len(kv[1].pattern.universe), len(kv[1].base_ids), kv[0]))
-    return tuple(pt for _, pt in ordered)
+                    known.add(least)
+                    # combinations come in increasing order, so sub is the least image
+                    base = frozenset(sub)
+                    if is_strong(b, base):
+                        found.append(((size, k, rank, least), PairType(b, base)))
+    found.sort(key=lambda entry: entry[0])
+    return tuple(pt for _, pt in found)
 
 
 @dataclass(frozen=True)

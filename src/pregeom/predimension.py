@@ -230,11 +230,16 @@ def in_class(a: Structure) -> bool:
 
 
 def strong_hull(a: Structure, base: Iterable[int]) -> frozenset[int]:
-    """A deterministic self-sufficient superset of `base` realising the minimum predimension."""
+    """A deterministic self-sufficient superset of `base` realising the minimum predimension.
+
+    No single element outside `base` can be dropped from the result without
+    raising its predimension.  The result need not be inclusion-minimal among
+    the minimisers: a block of elements may only be removable together.
+    """
     ev = _evaluator(a)
     bmask = ev.mask(base)
     best, mask = _min_over(ev, bmask, want_argmin=True)
-    # shrink to an inclusion-minimal achiever; those are always self-sufficient
+    # every minimiser is self-sufficient; drop single elements while the minimum holds
     changed = True
     while changed:
         changed = False

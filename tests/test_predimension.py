@@ -6,7 +6,7 @@ import pytest
 from pregeom import (CliqueStructure, ClassParams, DomainError, NaryStructure,
                      check_strong, clique_weight, in_class, induced,
                      is_strong, min_predim_over, predim, predim_rel,
-                     strong_hull)
+                     rank, strong_hull)
 from pregeom.gen import random_clique, random_nary, random_subset
 
 from oracles import (naive_is_strong, naive_min_over, naive_predim,
@@ -195,3 +195,16 @@ class TestStrongHull:
             assert seed <= hull
             assert is_strong(a, hull)
             assert naive_predim(a, hull) == naive_min_over(a, seed)
+
+    def test_hull_drops_single_elements_only(self):
+        # over {0}, the triples {0,3,4} (three tuples) and {0,1,2} (two) both
+        # keep the minimum 0, but the second one is removable only as a block
+        a = NaryStructure.of(P31, range(5), [(0, 3, 4), (0, 4, 3), (3, 4, 0),
+                                             (0, 1, 2), (0, 2, 1)])
+        hull = strong_hull(a, {0})
+        assert hull == frozenset(range(5))
+        assert is_strong(a, hull)
+        assert naive_predim(a, hull) == rank(a, {0}) == 0
+        for e in hull - {0}:
+            assert naive_predim(a, hull - {e}) > naive_predim(a, hull)
+        assert naive_predim(a, {0, 3, 4}) == 0
