@@ -17,7 +17,7 @@ from .geometry import (BackAndForthResult, PartialPgIso, back_and_forth,
 from .predimension import (StrongWitness, check_strong, clique_weight,
                            in_class, is_strong, min_predim_over, predim,
                            predim_rel, strong_hull)
-from .pregeometry import (Pregeometry, closure, dims, pg_isomorphic,
+from .pregeometry import (Pregeometry, closure, pg_isomorphic,
                           pregeometry_of, rank, same_pregeometry)
 from .reduct import (ReductCertificate, clique_certificate, lift, reduct_of,
                      reduct_within, undefinability_pair, witness_hull)

@@ -75,7 +75,7 @@ def _subsets(elems):
 
 def criterion_01_lambda_submodular(level: str):
     """Exhaustive clique-predimension submodularity at r=1, s=2, universes up to 5."""
-    start = time.time()
+    start = time.perf_counter()
     checked = structures = 0
     for size in range(6):
         for a in enumerate_clique_structures(P21, size, in_class_only=False,
@@ -88,7 +88,7 @@ def criterion_01_lambda_submodular(level: str):
                     if table[x | y] + table[x & y] > table[x] + table[y]:
                         return False, f"violation in structure {a}"
                     checked += 1
-    took = time.time() - start
+    took = time.perf_counter() - start
     return took < 60, (f"{structures} structures, {checked} subset pairs, "
                        f"{took:.1f}s (target <60s)")
 
@@ -496,7 +496,7 @@ def criterion_11_genericity(level: str):
 
 def criterion_12_back_and_forth(level: str):
     """Four alternating rounds produce a rank-preserving map of domain at least 6."""
-    start = time.time()
+    start = time.perf_counter()
     st1 = grow(GrowthSchedule("nary", P42, 20, 4, 0)).final
     st2 = grow(GrowthSchedule("clique", P32, 16, 3, 0)).final
     res = back_and_forth(st1, st2, None, rounds=4, ext_bound=4)
@@ -509,7 +509,7 @@ def criterion_12_back_and_forth(level: str):
     pulled = relabel(res.clique_stage, back)
     if not same_pregeometry(res.nary_stage, pulled):
         return False, "rank tables differ after pulling back"
-    took = time.time() - start
+    took = time.perf_counter() - start
     return took < 300, f"domain {len(res.iso.domain)}, rank tables equal, {took:.1f}s (target <300s)"
 
 
@@ -571,11 +571,11 @@ CRITERIA: list[tuple[str, Callable[[str], tuple[bool, str]]]] = [
 def run(level: str = "full", out=print) -> bool:
     all_ok = True
     for name, fn in CRITERIA:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             ok, detail = fn(level)
         except Exception as exc:  # a crashed criterion is a failed criterion
             ok, detail = False, f"crashed: {exc!r}"
         all_ok &= ok
-        out(f"{'PASS' if ok else 'FAIL'} {name}: {detail} [{time.time() - t0:.1f}s]")
+        out(f"{'PASS' if ok else 'FAIL'} {name}: {detail} [{time.perf_counter() - t0:.1f}s]")
     return all_ok

@@ -169,11 +169,6 @@ def rank(a: Structure, subset: Iterable[int]) -> int:
     return _min_over(ev, ev.mask(subset))
 
 
-def dims(a: Structure, subset: Iterable[int]) -> int:
-    """Dimension of `subset`: size of a smallest subset with the same closure; equals rank."""
-    return rank(a, subset)
-
-
 def closure(a: Structure, subset: Iterable[int]) -> frozenset[int]:
     """Elements whose addition does not raise the rank of `subset`."""
     _require_in_class(a)

@@ -6,6 +6,14 @@ member tuples inside the family's element set, and that element set is
 self-sufficient in every superset of at most s extra elements.  The reduct of
 a tuple structure is the clique structure whose cliques are the maximal sets
 of r-tuples all of whose subfamilies (of size >= s) are related.
+
+The bounded self-sufficiency test does not try every set of at most s extra
+elements.  Adding a set Y outside x lowers the predimension by the number of
+tuples whose part outside x is non-empty and inside Y, less |Y|; a violating
+Y can be shrunk to the union of those parts.  So it tries only unions of at
+most s elements of the tuples' outside parts (see `_bounded_strong`).  The
+search for related families reads the prefix map of the structure and its
+member index, both built once per `reduct_of` call.
 """
 
 from __future__ import annotations
@@ -51,55 +59,73 @@ def _prefix_map(m: NaryStructure) -> dict[RTuple, set[RTuple]]:
     return out
 
 
+def _member_index(prefixes: dict[RTuple, set[RTuple]]) -> dict[RTuple, set[RTuple]]:
+    """For each suffix, the set of prefixes it follows in the relation."""
+    out: dict[RTuple, set[RTuple]] = {}
+    for p, fam in prefixes.items():
+        for t in fam:
+            out.setdefault(t, set()).add(p)
+    return out
+
+
+def _shared_prefixes(index: dict[RTuple, set[RTuple]], members: Iterable[RTuple]) -> set[RTuple]:
+    """The prefixes that every member follows."""
+    return set.intersection(*(index.get(t, set()) for t in members))
+
+
 def _bounded_strong(m: NaryStructure, x: frozenset[int]) -> bool:
     """Whether x is self-sufficient in every superset of at most s extra elements.
 
-    Only elements occurring in tuples with at most s entries outside x can
-    appear in a minimal violation, so the search is restricted to those.
+    Call t - x, the entries of a tuple t outside x, its outside part.  For Y
+    disjoint from x,
+
+        delta(x + Y) - delta(x) = |Y| - #{t in R : t - x is non-empty and inside Y}.
+
+    Shrinking a violating Y to the union of the outside parts inside it keeps
+    the count and does not raise |Y|.  So x fails exactly when some union of
+    outside parts, with at most s elements, contains more tuples' parts than
+    it has elements.  Only the parts of 1 to s elements can lie in such a
+    union, and only their unions of at most s elements are tested.
     """
     ev = _evaluator(m)
     s = m.params.s
     xmask = ev.mask(x)
-    base = ev.value(xmask)
-    active = set()
+    parts: dict[int, int] = {}
     for tm in ev.rel_masks:
-        outside = tm & ~xmask
-        if 0 < outside.bit_count() <= s:
-            active.add(outside)
-    elems = sorted({e for om in active for e in ev.unmask(om)})
-    for k in range(1, s + 1):
-        for extra in itertools.combinations(elems, k):
-            mask = xmask
-            for e in extra:
-                mask |= 1 << ev.index[e]
-            if ev.value(mask) < base:
-                return False
+        part = tm & ~xmask
+        if 0 < part.bit_count() <= s:
+            parts[part] = parts.get(part, 0) + 1
+    unions = list(parts)
+    seen = set(unions)
+    for u in unions:  # the list grows while it is read
+        if sum(c for p, c in parts.items() if p & u == p) > u.bit_count():
+            return False
+        for p in parts:
+            w = u | p
+            if w not in seen and w.bit_count() <= s:
+                seen.add(w)
+                unions.append(w)
     return True
 
 
-def _certificate_search(m: NaryStructure, members: Sequence[RTuple]) -> Optional[ReductCertificate]:
-    s = m.params.s
+def _certificate_search(m: NaryStructure, members: Sequence[RTuple],
+                        index: dict[RTuple, set[RTuple]]) -> Optional[ReductCertificate]:
+    """The certificate of `members`, given the member index of m (see `_member_index`)."""
     member_set = set(members)
     if len(member_set) != len(members):
         return None
     member_elems = {e for t in members for e in t}
-    prefixes = _prefix_map(m)
-    candidates = None
-    for t in members:
-        having = {p for p, fam in prefixes.items() if t in fam}
-        candidates = having if candidates is None else candidates & having
-        if not candidates:
-            return None
+    ev = _evaluator(m)
     hits = []
-    for witness in sorted(candidates):
+    for witness in sorted(_shared_prefixes(index, members)):
         if len(set(witness)) != len(witness):
             continue
         if any(e in member_elems for e in witness):
             continue
         x = frozenset(member_elems | set(witness))
-        expected = {witness + t for t in members}
-        actual = set(induced_nary(m, x).relation)
-        if actual != expected:
+        # the witness tuples lie inside x, so x holds exactly them when it
+        # holds no more tuples than there are members
+        if ev.value(ev.mask(x)) != len(x) - len(members):
             continue
         if not _bounded_strong(m, x):
             continue
@@ -127,13 +153,14 @@ def clique_certificate(m: NaryStructure, members: Sequence[RTuple]) -> Optional[
         if not set(t) <= m.universe:
             raise DomainError(f"member {t} leaves the universe")
     _evaluator(m)  # validates m
-    return _certificate_search(m, members)
+    return _certificate_search(m, members, _member_index(_prefix_map(m)))
 
 
 def _all_cliques(m: NaryStructure) -> set[frozenset[RTuple]]:
     """Every related family closed under the subfamily condition, found bottom-up."""
     s = m.params.s
     prefixes = _prefix_map(m)
+    index = _member_index(prefixes)
     found: set[frozenset[RTuple]] = set()
     level: set[frozenset[RTuple]] = set()
     for fam in prefixes.values():
@@ -143,18 +170,14 @@ def _all_cliques(m: NaryStructure) -> set[frozenset[RTuple]]:
             key = frozenset(combo)
             if key in level:
                 continue
-            if _certificate_search(m, combo) is not None:
+            if _certificate_search(m, combo, index) is not None:
                 level.add(key)
     found |= level
     while level:
         nxt: set[frozenset[RTuple]] = set()
         for k in level:
-            shared = None
-            for t in k:
-                having = {p for p, fam in prefixes.items() if t in fam}
-                shared = having if shared is None else shared & having
             extensions = set()
-            for p in shared or ():
+            for p in _shared_prefixes(index, k):
                 extensions |= prefixes[p] - k
             for t in sorted(extensions):
                 k2 = k | {t}
@@ -162,7 +185,7 @@ def _all_cliques(m: NaryStructure) -> set[frozenset[RTuple]]:
                     continue
                 if any(k2 - {x} not in found for x in k2):
                     continue
-                if _certificate_search(m, sorted(k2)) is not None:
+                if _certificate_search(m, sorted(k2), index) is not None:
                     nxt.add(k2)
         found |= nxt
         level = nxt

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pregeom import (CliqueStructure, ClassParams, DomainError, NaryStructure,
-                     closure, dims, is_strong, pg_isomorphic, pregeometry_of,
+                     closure, is_strong, pg_isomorphic, pregeometry_of,
                      rank, relabel, same_pregeometry)
 from pregeom.gen import (random_clique_in_class, random_nary_in_class,
                          random_subset)
@@ -68,23 +68,25 @@ class TestClosure:
 
 
 class TestDims:
+    """The dimension of a subset, the least size of a subset with the same closure, is its rank."""
+
     def test_empty(self):
         a = NaryStructure.of(P31, range(3), [])
-        assert dims(a, set()) == 0
+        assert rank(a, set()) == 0
 
     def test_relation_free(self):
         a = NaryStructure.of(P31, range(4), [])
         for b in subsets(a.universe):
-            assert dims(a, b) == len(b)
+            assert rank(a, b) == len(b)
 
     def test_single_clique(self):
         a = CliqueStructure.of(P21, [0, 1, 2], [[(0,), (1,), (2,)]])
-        assert dims(a, {0, 1, 2}) == 1
+        assert rank(a, {0, 1, 2}) == 1
 
     def test_matches_literal_definition(self):
         for a in in_class_samples(15, 25) + in_class_samples(16, 15, "clique"):
             for b in subsets(a.universe):
-                assert dims(a, b) == naive_dims(a, b)
+                assert rank(a, b) == naive_dims(a, b)
 
 
 class TestPregeometryAxioms:
@@ -115,9 +117,9 @@ class TestPregeometryAxioms:
                 for y in elems:
                     if x in pg.closure(b | {y}) and x not in cl_b:
                         assert y in pg.closure(b | {x})
-        # dims equals rank
+        # the rank function agrees with the pregeometry's table
         for b in subsets(elems):
-            assert dims(a, b) == table[b]
+            assert rank(a, b) == table[b]
 
     def test_nary_axioms(self):
         for a in in_class_samples(17, 12):

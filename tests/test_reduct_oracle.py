@@ -11,9 +11,10 @@ closure, no search-space restrictions shared with the implementation.
 import itertools
 import random
 
-from pregeom import (ClassParams, NaryStructure, clique_certificate, in_class,
-                     reduct_of)
-from pregeom.gen import random_nary, random_nary_in_class
+from pregeom import (ClassParams, CliqueStructure, NaryStructure,
+                     clique_certificate, in_class, lift, reduct_of)
+from pregeom.gen import random_nary, random_nary_in_class, random_subset
+from pregeom.reduct import _bounded_strong
 
 from oracles import naive_predim
 
@@ -45,6 +46,22 @@ def naive_phi(m, members):
         if ok:
             witnesses.append(witness)
     return witnesses
+
+
+def naive_bounded_strong(m, x):
+    """No superset of x with 1 to s extra elements has a smaller predimension."""
+    p0 = naive_predim(m, x)
+    rest = sorted(m.universe - x)
+    return not any(naive_predim(m, x | set(extra)) < p0
+                   for k in range(1, m.params.s + 1)
+                   for extra in itertools.combinations(rest, k))
+
+
+def single_parts_strong(m, x):
+    """The test on single outside parts t - x only, without unions of them."""
+    parts = [frozenset(t) - x for t in m.relation]
+    parts = [p for p in parts if 0 < len(p) <= m.params.s]
+    return all(sum(q <= p for q in parts) <= len(p) for p in parts)
 
 
 def naive_reduct_cliques(m):
@@ -160,3 +177,72 @@ def test_s4_params_bigger_witness():
     import pytest
     with pytest.raises(Exception):
         clique_certificate(m, [(0,), (1,), (2,)])
+
+
+def test_bounded_strong_agrees_with_enumeration():
+    rng = random.Random(61)
+    union_only = 0
+    for n, r, max_size in ((3, 1, 7), (4, 1, 7), (4, 2, 7), (3, 2, 7), (5, 2, 8)):
+        params = ClassParams(n, r)
+        for _ in range(400):
+            m = random_nary(rng, params, max_size, min_size=n + 1)
+            x = random_subset(rng, m.universe, max_take=3)
+            expect = naive_bounded_strong(m, x)
+            assert _bounded_strong(m, x) == expect
+            union_only += not expect and single_parts_strong(m, x)
+    # cases only a union of two or more outside parts violates; a search
+    # over single parts would call them strong
+    assert union_only == 33
+
+
+def _clique_extension(rng, a_c, stretch, fresh, isolated):
+    """a_c with one clique grown by `stretch` new members, a new clique of
+    `fresh` members (none if 0) and `isolated` new unrelated elements."""
+    start = max(a_c.universe) + 1
+    new = iter(range(start, start + stretch + fresh + isolated))
+    cliques = set(a_c.maxcliques)
+    if stretch:
+        k = rng.choice(sorted(cliques, key=sorted))
+        cliques.remove(k)
+        cliques.add(k | {(next(new),) for _ in range(stretch)})
+    if fresh:
+        cliques.add(frozenset((next(new),) for _ in range(fresh)))
+    universe = a_c.universe | frozenset(range(start, start + stretch + fresh + isolated))
+    return CliqueStructure(a_c.params, universe, frozenset(cliques))
+
+
+def _lift_built(rng):
+    """A witness pair relating three or four members, then one or two lifts
+    that keep the universe at 10 elements or fewer."""
+    size = rng.randint(5, 6)
+    x, y, *members = rng.sample(range(size), size)
+    a = NaryStructure.of(P31, range(size), [(x, y, e) for e in members])
+    for _ in range(rng.randint(1, 2)):
+        n = len(a.universe)
+        a_c = reduct_of(a)
+        largest = max(len(k) for k in a_c.maxcliques)
+        # a fresh clique also brings a fresh witness pair; the oracle's time
+        # grows steeply with the clique size, so cliques stay at 6 members
+        shapes = [(st, fr, iso) for st in (0, 1, 2) for fr in (0, 3) for iso in (0, 1)
+                  if (st or fr) and largest + st <= 6
+                  and n + st + (fr + 2 if fr else 0) + iso <= 10]
+        if not shapes:
+            break
+        a, _ = lift(a, _clique_extension(rng, a_c, *rng.choice(shapes)))
+    return a
+
+
+def test_oracle_agreement_lift_built():
+    # the shape of the benchmark's lift inputs: witness tuples sharing members
+    rng = random.Random(55)
+    sizes = set()
+    two_cliques = 0
+    for _ in range(40):
+        m = _lift_built(rng)
+        expect = naive_reduct_cliques(m)
+        assert expect
+        assert reduct_of(m).maxcliques == expect
+        sizes.add(len(m.universe))
+        two_cliques += len(expect) >= 2
+    assert max(sizes) == 10 and len(sizes) >= 4
+    assert two_cliques >= 5
