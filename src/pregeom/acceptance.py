@@ -17,6 +17,7 @@ import random
 import time
 from typing import Callable
 
+from .amalgam import standard_amalgam
 from .errors import DomainError
 from .gen import (random_clique_in_class, random_nary,
                   random_nary_in_class, random_subset)
@@ -27,7 +28,10 @@ from .geometry import (anchor_choices, back_and_forth, clique_to_nary,
                        is_good_set, nary_to_clique, remove_pathologies)
 from .predimension import (_evaluator, check_strong, in_class, is_strong,
                            predim_rel, strong_hull)
-from .pregeometry import _predim_table, _rank_table, closure, pregeometry_of
+from .oracles import (naive_closure, naive_is_strong, naive_strong_witness,
+                      subsets)
+from .pregeometry import (_predim_table, closure, pregeometry_of,
+                          rank_table_of, same_pregeometry)
 from .reduct import lift, reduct_of, reduct_within, undefinability_pair
 from .structures import (CliqueStructure, ClassParams, NaryStructure,
                          induced, induced_clique, induced_nary, relabel,
@@ -37,38 +41,6 @@ P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)
 P42 = ClassParams(4, 2)
 P32 = ClassParams(3, 2)
-
-
-# ---------------------------------------------------------------- oracles
-# plain-set reference implementations, independent of the bitmask evaluator
-
-def _naive_predim(struct, subset):
-    s = frozenset(subset)
-    if isinstance(struct, NaryStructure):
-        return len(s) - sum(1 for t in struct.relation if set(t) <= s)
-    traces = {frozenset(t for t in k if set(t) <= s) for k in struct.maxcliques}
-    traces = [k for k in traces if len(k) >= struct.params.s]
-    maximal = [k for k in traces if not any(k < o for o in traces)]
-    return len(s) - sum(len(k) - (struct.params.s - 1) for k in maximal)
-
-
-def _naive_tables(struct):
-    elems = sorted(struct.universe)
-    table = {}
-    for k in range(len(elems) + 1):
-        for sub in itertools.combinations(elems, k):
-            table[frozenset(sub)] = _naive_predim(struct, sub)
-    return table
-
-
-def _naive_min_over(table, base):
-    return min(v for s, v in table.items() if base <= s)
-
-
-def _subsets(elems):
-    elems = sorted(elems)
-    for k in range(len(elems) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(elems, k))
 
 
 # ------------------------------------------------------------- criterion 1
@@ -170,9 +142,8 @@ def criterion_02_delta_submodular_transitive(level: str):
 # ------------------------------------------------------------- criterion 3
 
 def _axiom_check(a) -> str:
-    ev = _evaluator(a)
-    table = _rank_table(ev)
-    n = ev.nbits
+    table = rank_table_of(a)
+    n = len(a.universe)
     full = 1 << n
 
     def cl(mask):
@@ -382,7 +353,7 @@ def criterion_08_remove_pathologies(level: str):
         if len(c.universe) > 9:
             continue
         pc, pd = pregeometry_of(c), pregeometry_of(d)
-        for x in _subsets(c.universe):
+        for x in subsets(c.universe):
             if pc.is_closed(x) != pd.is_closed(x):
                 return False, f"closed-set mismatch at {sorted(x)}"
         done += 1
@@ -393,8 +364,6 @@ def criterion_08_remove_pathologies(level: str):
 
 def criterion_09_standard_amalgam_identity(level: str):
     """predim(amalgam / factor) equals predim(other factor / base), exhaustively."""
-    from .amalgam import standard_amalgam
-
     factors = []
     for size in range(4):
         factors += [a for a in enumerate_clique_structures(P21, size,
@@ -447,7 +416,7 @@ def criterion_10_transfer_correspondence(level: str):
             continue
         if len(d.universe) > 8:
             continue
-        for x in _subsets(d.universe):
+        for x in subsets(d.universe):
             if predim_rel(c_c, x, x & a.universe) != predim_rel(d, x, x & a.universe):
                 return False, f"forward correspondence fails at {sorted(x)}"
         done += 1
@@ -465,7 +434,7 @@ def criterion_10_transfer_correspondence(level: str):
             continue
         b_rs, _ = clique_to_nary(a_c, a_rs, b_c)
         anchors = anchor_choices(a_c, b_c)
-        for x in _subsets(b_c.universe):
+        for x in subsets(b_c.universe):
             if not is_good_set(x, b_c, anchors):
                 continue
             if predim_rel(b_c, x, x & a_c.universe) != predim_rel(b_rs, x, x & a_c.universe):
@@ -504,7 +473,6 @@ def criterion_12_back_and_forth(level: str):
         return False, f"domain size {len(res.iso.domain)} < 6"
     # independent verification: pull the clique stage back along the map and
     # compare full rank tables
-    from .pregeometry import same_pregeometry
     back = {v: k for k, v in res.iso.mapping.items()}
     pulled = relabel(res.clique_stage, back)
     if not same_pregeometry(res.nary_stage, pulled):
@@ -526,27 +494,13 @@ def criterion_13_oracle_equivalence(level: str):
         else:
             a = random_clique_in_class(rng, P21, 10, min_size=lo)
         base = random_subset(rng, a.universe)
-        table = _naive_tables(a)
-        expect_strong = _naive_min_over(table, base) >= table[base]
         got_strong, witness = check_strong(a, base)
-        if got_strong != expect_strong:
+        if got_strong != naive_is_strong(a, base):
             return False, f"strongness mismatch on instance {i}"
-        if not got_strong:
-            naive_wit = None
-            for k in range(1, len(a.universe - base) + 1):
-                for extra in itertools.combinations(sorted(a.universe - base), k):
-                    val = table[base | frozenset(extra)]
-                    if val < table[base]:
-                        naive_wit = (tuple(sorted(base | set(extra))), val - table[base])
-                        break
-                if naive_wit:
-                    break
-            if (witness.violating, witness.relative_value) != naive_wit:
-                return False, f"witness mismatch on instance {i}"
-        d0 = _naive_min_over(table, base)
-        naive_cl = base | {e for e in a.universe - base
-                           if _naive_min_over(table, base | {e}) == d0}
-        if closure(a, base) != naive_cl:
+        if not got_strong and ((witness.violating, witness.relative_value)
+                               != naive_strong_witness(a, base)):
+            return False, f"witness mismatch on instance {i}"
+        if closure(a, base) != naive_closure(a, base):
             return False, f"closure mismatch on instance {i}"
     return True, f"{want} random instances to size 10, exact agreement"
 

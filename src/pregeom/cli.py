@@ -19,9 +19,9 @@ from .generic import GrowthSchedule, grow, save_chain
 from .geometry import (back_and_forth, clique_to_nary, nary_to_clique,
                        remove_pathologies)
 from .predimension import check_strong, predim, predim_rel
-from .pregeometry import pg_isomorphic, pregeometry_of
+from .pregeometry import closure, pg_isomorphic, pregeometry_of, rank
 from .reduct import lift, reduct_of, reduct_within, undefinability_pair
-from .structures import ClassParams, validate
+from .structures import ClassParams, induced, validate
 
 
 def _ids(text: str) -> frozenset[int]:
@@ -63,7 +63,6 @@ def cmd_predim(args) -> int:
     if args.over is not None:
         print(predim_rel(a, part, _ids(args.over)))
     else:
-        from .structures import induced
         print(predim(induced(a, part)))
     return 0
 
@@ -91,16 +90,12 @@ def cmd_class(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    from .pregeometry import closure
-
     a = structfile.load(args.file)
     print(" ".join(str(e) for e in sorted(closure(a, _ids(args.set)))))
     return 0
 
 
 def cmd_rank(args) -> int:
-    from .pregeometry import rank
-
     a = structfile.load(args.file)
     print(rank(a, _ids(args.set)))
     return 0
@@ -367,7 +362,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

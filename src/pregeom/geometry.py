@@ -385,7 +385,7 @@ def _forward_cost(p: NaryStructure) -> int:
 
 def back_and_forth(stage1: NaryStructure, stage2: CliqueStructure,
                    start: Optional[PartialPgIso] = None, rounds: int = 4,
-                   ext_bound: int = 3, max_universe: Optional[int] = None) -> BackAndForthResult:
+                   ext_bound: int = 3) -> BackAndForthResult:
     """Alternately transfer strong extensions between the two classes.
 
     Starting from the substructures matched by `start` (empty by default),
@@ -395,8 +395,7 @@ def back_and_forth(stage1: NaryStructure, stage2: CliqueStructure,
     table equality.  Extension types are drawn from the stages, topped up
     with a single-tuple and a disjoint-clique baseline.
     """
-    if max_universe is None:
-        max_universe = max_ground_cap()
+    cap = max_ground_cap()
     _check_cross_params(stage1.params, stage2.params)
     iso = start or PartialPgIso(())
     mapping = iso.mapping
@@ -427,7 +426,7 @@ def back_and_forth(stage1: NaryStructure, stage2: CliqueStructure,
         forward = i % 2 == 0
         pool = pool_n if forward else pool_c
         cost = _forward_cost if forward else (lambda p: len(p.universe))
-        room = max_universe - len(n_work.universe)
+        room = cap - len(n_work.universe)
         fitting = [p for p in pool if cost(p) <= room]
         if not fitting:
             raise DomainError(f"round {i + 1} has no extension fitting the universe cap")

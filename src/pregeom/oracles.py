@@ -2,12 +2,14 @@
 
 Everything here works on plain sets and itertools, with no bitmasks, no
 pruning and no caching, so the branch-and-bound implementations have an
-honest reference to agree with bit-for-bit.
+honest reference to agree with bit-for-bit.  The acceptance suite and the
+tests both check against this module; it imports nothing from the package
+but the structure types.
 """
 
 import itertools
 
-from pregeom import NaryStructure
+from .structures import NaryStructure
 
 
 def subsets(elems):

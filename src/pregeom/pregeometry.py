@@ -20,7 +20,6 @@ from .predimension import _evaluator, _min_over
 from .structures import Structure
 
 DEFAULT_MAX_GROUND = 18
-EAGER_TABLE_LIMIT = 16
 ENV_MAX_GROUND = "PREGEOM_MAX_GROUND"
 
 
@@ -99,16 +98,10 @@ def _rank_table(ev) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class Pregeometry:
-    """Ground set plus exact rank data extracted from a predimension function.
-
-    Small grounds store the full table; larger ones compute ranks on demand
-    (memoised, idempotent under concurrent recomputation).
-    """
+    """Ground set plus the rank of every subset mask of it (ground order)."""
 
     ground: tuple[int, ...]
-    _table: Optional[list[int]] = field(repr=False)
-    _source: Optional[Structure] = field(repr=False, default=None)
-    _memo: dict[int, int] = field(repr=False, default_factory=dict)
+    table: tuple[int, ...] = field(repr=False)
 
     def _index(self, e: int) -> int:
         i = self.ground.index(e) if e in self.ground else -1
@@ -122,31 +115,15 @@ class Pregeometry:
             m |= 1 << self._index(e)
         return m
 
-    def rank_of_mask(self, mask: int) -> int:
-        if self._table is not None:
-            return self._table[mask]
-        if mask in self._memo:
-            return self._memo[mask]
-        ev = _evaluator(self._source)
-        base = 0
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            base |= 1 << ev.index[self.ground[bit.bit_length() - 1]]
-        val = _min_over(ev, base)
-        self._memo[mask] = val
-        return val
-
     def rank(self, subset: Iterable[int]) -> int:
-        return self.rank_of_mask(self._mask(subset))
+        return self.table[self._mask(subset)]
 
     def closure(self, subset: Iterable[int]) -> frozenset[int]:
         m = self._mask(subset)
-        r = self.rank_of_mask(m)
+        r = self.table[m]
         out = set()
         for i, e in enumerate(self.ground):
-            if m >> i & 1 or self.rank_of_mask(m | (1 << i)) == r:
+            if m >> i & 1 or self.table[m | (1 << i)] == r:
                 out.add(e)
         return frozenset(out)
 
@@ -158,7 +135,7 @@ class Pregeometry:
         out = {}
         for m in range(1 << len(self.ground)):
             members = frozenset(e for i, e in enumerate(self.ground) if m >> i & 1)
-            out[members] = self.rank_of_mask(m)
+            out[members] = self.table[m]
         return out
 
 
@@ -184,17 +161,18 @@ def closure(a: Structure, subset: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def pregeometry_of(a: Structure, max_ground: Optional[int] = None) -> Pregeometry:
-    """The pregeometry of an in-class structure, with its exact rank data."""
+def pregeometry_of(a: Structure) -> Pregeometry:
+    """The pregeometry of an in-class structure, with its full rank table.
+
+    The ground set must fit the cap (`max_ground_cap`) and `rank_table_of`'s
+    22-element ceiling; both raise DomainError.
+    """
     _require_in_class(a)
-    cap = max_ground_cap() if max_ground is None else max_ground
+    cap = max_ground_cap()
     ground = tuple(a.sorted_universe())
     if len(ground) > cap:
         raise DomainError(f"ground set has {len(ground)} elements, above the cap {cap}")
-    ev = _evaluator(a)
-    if len(ground) <= EAGER_TABLE_LIMIT:
-        return Pregeometry(ground, _rank_table(ev), a)
-    return Pregeometry(ground, None, a)
+    return Pregeometry(ground, rank_table_of(a))
 
 
 @lru_cache(maxsize=64)

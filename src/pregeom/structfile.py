@@ -23,7 +23,7 @@ from typing import Iterable, Union
 from .errors import FormatError
 from .structures import CliqueStructure, ClassParams, NaryStructure, Structure
 
-_PARAMS_RE = re.compile(r"^params n=(\d+) r=(\d+)$")
+_PARAMS_RE = re.compile(r"^params n=(\d+) r=(\d+)$", re.ASCII)
 _GROUP_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -48,9 +48,13 @@ def serialize(a: Structure) -> str:
 def _parse_ids(words: Iterable[str], what: str) -> list[int]:
     out = []
     for w in words:
-        if not w.isdigit():
+        # str.isdigit also accepts digits int() rejects, such as '²'
+        if not (w.isascii() and w.isdigit()):
             raise FormatError(f"bad {what} id {w!r}")
-        out.append(int(w))
+        try:
+            out.append(int(w))
+        except ValueError as exc:  # beyond int()'s digit limit
+            raise FormatError(f"bad {what} id {w[:20]!r}...: {exc}") from exc
     return out
 
 
@@ -138,7 +142,11 @@ def parse(text: str) -> Structure:
 
 
 def load(path: Union[str, Path]) -> Structure:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse(text)
 
 
 def save(a: Structure, path: Union[str, Path]) -> None:

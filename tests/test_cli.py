@@ -2,6 +2,8 @@ import io
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pregeom.cli import main
 
@@ -207,6 +209,47 @@ def test_parse_error_exit_2(tmp_path):
 
 def test_missing_file_exit_2(tmp_path):
     assert main(["validate", str(tmp_path / "nope.txt")]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    b"kind nary\nparams n=3 r=1\nuniverse 0 \xff\nend\n",  # not UTF-8
+    None,  # a directory in place of the file
+    "kind nary\nparams n=3 r=1\nuniverse 0 \u00b2\nend\n".encode(),  # '²' passes isdigit
+    b"kind nary\nparams n=3 r=1\nuniverse " + b"1" * 5000 + b"\nend\n",  # past int()'s limit
+], ids=["not-utf8", "directory", "superscript-id", "5000-digit-id"])
+def test_malformed_input_exit_2(tmp_path, content):
+    p = tmp_path / "in.txt"
+    if content is None:
+        p.mkdir()
+    else:
+        p.write_bytes(content)
+    assert main(["validate", str(p)]) == 2
+
+
+# near-valid structure text reaches the id parser, which random bytes rarely do
+_HEADERS = st.sampled_from(["", "kind nary\nparams n=3 r=1\n",
+                            "kind nary\nparams n=3 r=1\nuniverse 0 1 2\n",
+                            "kind clique\nparams n=2 r=1\nuniverse 0 1 2\n"])
+_LINES = st.lists(st.tuples(st.sampled_from(["universe", "rel", "clique", "end", "#"]),
+                            st.text("01 (),\u00b2\u0663", max_size=8)).map(" ".join),
+                  max_size=6)
+_TEXTS = st.builds(lambda h, ls: (h + "\n".join(ls)).encode(), _HEADERS, _LINES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200), _TEXTS))
+def test_fuzz_validate_never_raises(tmp_path_factory, data):
+    p = tmp_path_factory.mktemp("fuzz") / "in.txt"
+    p.write_bytes(data)
+    assert run(["validate", str(p)])[0] in (0, 1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(max_size=30))
+def test_fuzz_rank_set_never_raises(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("fuzz") / "five.txt"
+    p.write_text("kind nary\nparams n=3 r=1\nuniverse 0 1 2 3 4\nrel 3 4 0\nend\n")
+    assert run(["rank", str(p), f"--set={text}"])[0] in (0, 1, 2)
 
 
 def test_usage_error_exit_2():

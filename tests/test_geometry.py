@@ -10,8 +10,7 @@ from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
                      verify_partial_pg_iso)
 from pregeom.gen import random_nary_in_class, random_subset
 from pregeom.geometry import anchor_choices, is_good_set
-
-from oracles import subsets
+from pregeom.oracles import subsets
 
 P42 = ClassParams(4, 2)   # arity-4 tuples read as two blocks of two
 P32 = ClassParams(3, 2)   # clique side: 2-tuples, threshold 2

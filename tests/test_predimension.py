@@ -8,9 +8,8 @@ from pregeom import (CliqueStructure, ClassParams, DomainError, NaryStructure,
                      is_strong, min_predim_over, predim, predim_rel,
                      rank, strong_hull)
 from pregeom.gen import random_clique, random_nary, random_subset
-
-from oracles import (naive_is_strong, naive_min_over, naive_predim,
-                     naive_strong_witness, subsets)
+from pregeom.oracles import (naive_is_strong, naive_min_over, naive_predim,
+                             naive_strong_witness, subsets)
 
 P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)

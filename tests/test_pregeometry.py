@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from pregeom import (CliqueStructure, ClassParams, DomainError, NaryStructure,
-                     closure, is_strong, pg_isomorphic, pregeometry_of,
-                     rank, relabel, same_pregeometry)
+from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
+                     NaryStructure, closure, grow, induced, is_strong,
+                     pg_isomorphic, pregeometry_of, rank, relabel,
+                     same_pregeometry)
 from pregeom.gen import (random_clique_in_class, random_nary_in_class,
                          random_subset)
-
-from oracles import (naive_closure, naive_closure_union_formula, naive_dims,
-                     naive_min_over, subsets)
+from pregeom.oracles import (naive_closure, naive_closure_union_formula, naive_dims,
+                             naive_min_over, subsets)
 
 P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)
@@ -159,13 +159,20 @@ class TestPregeometryOf:
         monkeypatch.delenv("PREGEOM_MAX_GROUND")
         pregeometry_of(a)
 
-    def test_lazy_path_agrees(self):
-        a = NaryStructure.of(P31, range(6), [(0, 1, 2), (3, 4, 5)])
-        eager = pregeometry_of(a)
-        lazy = pregeometry_of(a)
-        object.__setattr__(lazy, "_table", None)
-        for b in subsets(a.universe):
-            assert eager.rank(b) == lazy.rank(b)
+    def test_table_ceiling_under_raised_cap(self, monkeypatch):
+        monkeypatch.setenv("PREGEOM_MAX_GROUND", "30")
+        with pytest.raises(DomainError):
+            pregeometry_of(NaryStructure.of(P31, range(23), []))
+
+    @pytest.mark.parametrize("size", [17, 18])
+    def test_large_ground_matches_direct(self, size):
+        stage = grow(GrowthSchedule("nary", P31, 22, 3, 0)).final
+        a = induced(stage, stage.sorted_universe()[:size])
+        pg = pregeometry_of(a)
+        rng = random.Random(size)
+        for _ in range(200):
+            b = random_subset(rng, a.universe)
+            assert pg.rank(b) == rank(a, b)
 
 
 class TestPgIsomorphic:

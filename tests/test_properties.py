@@ -14,8 +14,7 @@ from pregeom import (ClassParams, canonical_key, closure, in_class, induced,
                      strong_hull)
 from pregeom.gen import (random_clique, random_nary, random_nary_in_class,
                          random_subset)
-
-from oracles import naive_min_over, naive_predim
+from pregeom.oracles import naive_min_over, naive_predim
 
 P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)

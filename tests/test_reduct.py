@@ -10,8 +10,7 @@ from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
                      undefinability_pair, witness_hull)
 from pregeom.gen import random_nary_in_class, random_subset
 from pregeom.generic import enumerate_structures
-
-from oracles import naive_predim, subsets
+from pregeom.oracles import naive_predim, subsets
 
 P31 = ClassParams(3, 1)  # witnesses have length 2, cliques need >= 3 members
 

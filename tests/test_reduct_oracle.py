@@ -14,9 +14,8 @@ import random
 from pregeom import (ClassParams, CliqueStructure, NaryStructure,
                      clique_certificate, in_class, lift, reduct_of)
 from pregeom.gen import random_nary, random_nary_in_class, random_subset
+from pregeom.oracles import naive_predim
 from pregeom.reduct import _bounded_strong
-
-from oracles import naive_predim
 
 
 def naive_phi(m, members):

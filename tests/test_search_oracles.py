@@ -5,9 +5,12 @@ pruning (incremental relation checks, signature filters, rank filters); these
 tests re-derive their answers by raw enumeration over all injections.
 """
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
+from pregeom import oracles
 from pregeom import (CliqueStructure, ClassParams, NaryStructure, embeddings,
                      in_class, induced, pg_isomorphic, pregeometry_of,
                      relabel)
@@ -112,3 +115,15 @@ def test_pg_isomorphic_mixed_kind_pair():
     got = pg_isomorphic(pregeometry_of(a), pregeometry_of(b))
     expect = brute_pg_isomorphisms(pregeometry_of(a), pregeometry_of(b))
     assert got is not None and got in expect
+
+
+def test_oracle_module_imports_only_structures():
+    # the naive oracles ship in the package but must not share its search code
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pregeom")):
+            used.add(node.module)
+        elif isinstance(node, ast.Import):
+            used.update(a.name for a in node.names if a.name.startswith("pregeom"))
+    assert used == {"structures"}
