@@ -18,10 +18,10 @@ from .errors import DomainError, FormatError
 from .generic import GrowthSchedule, grow, save_chain
 from .geometry import (back_and_forth, clique_to_nary, nary_to_clique,
                        remove_pathologies)
-from .predimension import check_strong, predim, predim_rel
+from .predimension import check_strong, predim_rel
 from .pregeometry import closure, pg_isomorphic, pregeometry_of, rank
 from .reduct import lift, reduct_of, reduct_within, undefinability_pair
-from .structures import ClassParams, induced, validate
+from .structures import ClassParams, validate
 
 
 def _ids(text: str) -> frozenset[int]:
@@ -60,10 +60,8 @@ def cmd_validate(args) -> int:
 def cmd_predim(args) -> int:
     a = structfile.load(args.file)
     part = _ids(args.set) if args.set is not None else a.universe
-    if args.over is not None:
-        print(predim_rel(a, part, _ids(args.over)))
-    else:
-        print(predim(induced(a, part)))
+    # predim_rel validates the structure; over the empty base it is predim(part)
+    print(predim_rel(a, part, _ids(args.over) if args.over is not None else ()))
     return 0
 
 

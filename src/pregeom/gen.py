@@ -12,6 +12,9 @@ from typing import Optional
 from .predimension import in_class
 from .structures import CliqueStructure, ClassParams, NaryStructure
 
+_MAX_CLIQUES = 3  # random_clique draws between 0 and this many cliques
+_IN_CLASS_TRIES = 64  # draws before an *_in_class helper falls back to a free structure
+
 
 def random_nary(rng: random.Random, params: ClassParams, max_size: int,
                 min_size: int = 0, max_relations: Optional[int] = None) -> NaryStructure:
@@ -30,8 +33,8 @@ def random_nary(rng: random.Random, params: ClassParams, max_size: int,
 
 
 def random_nary_in_class(rng: random.Random, params: ClassParams, max_size: int,
-                         min_size: int = 0, tries: int = 64) -> NaryStructure:
-    for _ in range(tries):
+                         min_size: int = 0) -> NaryStructure:
+    for _ in range(_IN_CLASS_TRIES):
         a = random_nary(rng, params, max_size, min_size)
         if in_class(a):
             return a
@@ -40,44 +43,36 @@ def random_nary_in_class(rng: random.Random, params: ClassParams, max_size: int,
 
 
 def random_clique(rng: random.Random, params: ClassParams, max_size: int,
-                  min_size: int = 0, max_cliques: int = 3,
-                  disjoint_members: bool = False) -> CliqueStructure:
+                  min_size: int = 0) -> CliqueStructure:
     """A random valid clique structure: antichain with pairwise intersections below s."""
     s, r = params.s, params.r
     size = rng.randint(min_size, max_size)
     universe = frozenset(range(size))
     cliques: list[frozenset] = []
-    want = rng.randint(0, max_cliques)
+    want = rng.randint(0, _MAX_CLIQUES)
     for _ in range(want * 6):
         if len(cliques) >= want:
             break
         csize = rng.randint(s, s + 2)
-        if disjoint_members:
-            if csize * r > size:
-                continue
-            chosen = rng.sample(range(size), csize * r)
-            members = frozenset(tuple(chosen[i * r:(i + 1) * r]) for i in range(csize))
-        else:
-            if size < r:
-                continue
-            members = set()
-            for _ in range(csize * 4):
-                if len(members) >= csize:
-                    break
-                members.add(tuple(rng.sample(range(size), r)))
-            if len(members) < csize:
-                continue
-            members = frozenset(members)
+        if size < r:
+            continue
+        members = set()
+        for _ in range(csize * 4):
+            if len(members) >= csize:
+                break
+            members.add(tuple(rng.sample(range(size), r)))
+        if len(members) < csize:
+            continue
+        members = frozenset(members)
         if all(len(members & other) < s for other in cliques):
             cliques.append(members)
     return CliqueStructure(params, universe, frozenset(cliques))
 
 
 def random_clique_in_class(rng: random.Random, params: ClassParams, max_size: int,
-                           min_size: int = 0, tries: int = 64,
-                           disjoint_members: bool = False) -> CliqueStructure:
-    for _ in range(tries):
-        a = random_clique(rng, params, max_size, min_size, disjoint_members=disjoint_members)
+                           min_size: int = 0) -> CliqueStructure:
+    for _ in range(_IN_CLASS_TRIES):
+        a = random_clique(rng, params, max_size, min_size)
         if in_class(a):
             return a
     return CliqueStructure(params, frozenset(range(min_size)), frozenset())
@@ -89,15 +84,3 @@ def random_subset(rng: random.Random, universe, max_take: Optional[int] = None) 
     k = rng.randint(0, cap)
     return frozenset(rng.sample(elems, k))
 
-
-def random_strong_pair(rng: random.Random, params: ClassParams, kind: str,
-                       max_size: int) -> tuple:
-    """A structure in class together with a self-sufficient subset (via the strong hull)."""
-    from .predimension import strong_hull
-
-    if kind == "nary":
-        a = random_nary_in_class(rng, params, max_size)
-    else:
-        a = random_clique_in_class(rng, params, max_size)
-    seed = random_subset(rng, a.universe, max_take=max(1, len(a.universe) // 2))
-    return a, strong_hull(a, seed)

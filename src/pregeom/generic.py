@@ -386,18 +386,46 @@ def save_chain(chain: Chain, directory: Union[str, Path]) -> None:
 
 
 def _parse_schedule_comment(line: str) -> tuple[GrowthSchedule, bool]:
-    fields = dict(part.split("=", 1) for part in line.split()[2:])
-    params = ClassParams(int(fields["n"]), int(fields["r"]))
-    schedule = GrowthSchedule(fields["kind"], params, int(fields["max-size"]),
-                              int(fields["ext-bound"]), int(fields["seed"]))
-    return schedule, bool(int(fields["truncated"]))
+    try:
+        fields = dict(part.split("=", 1) for part in line.split()[2:])
+        params = ClassParams(int(fields["n"]), int(fields["r"]))
+        schedule = GrowthSchedule(fields["kind"], params, int(fields["max-size"]),
+                                  int(fields["ext-bound"]), int(fields["seed"]))
+        return schedule, bool(int(fields["truncated"]))
+    except (KeyError, ValueError, DomainError) as exc:
+        raise FormatError(f"bad chain schedule header {line!r}: {exc!r}") from exc
+
+
+def _parse_log_line(ln: str) -> tuple[int, tuple[int, ...], str, dict[int, int]]:
+    """Step number, base ids, extension file and map of one chain log line."""
+    tokens = ln.split()
+    if tokens[0] != "step" or "A" not in tokens or "B-file" not in tokens or "map" not in tokens:
+        raise FormatError(f"bad chain log line {ln!r}")
+    a_at = tokens.index("A")
+    b_at = tokens.index("B-file")
+    m_at = tokens.index("map")
+    # step <k> A <ids> B-file <path> map <pairs>
+    if not (a_at == 2 < b_at and m_at == b_at + 2):
+        raise FormatError(f"bad chain log line {ln!r}")
+    mapping = {}
+    for pair in tokens[m_at + 1:]:
+        src, sep, dst = pair.partition(":")
+        if not sep:
+            raise FormatError(f"bad chain map pair {pair!r}")
+        s, d = structfile.parse_ids((src, dst), "map")
+        mapping[s] = d
+    step, = structfile.parse_ids(tokens[1:2], "step")
+    base_ids = tuple(structfile.parse_ids(tokens[a_at + 1:b_at], "base"))
+    return step, base_ids, tokens[b_at + 1], mapping
 
 
 def load_chain(directory: Union[str, Path]) -> Chain:
-    """Reload a chain and re-validate it by replaying the log from the empty structure."""
+    """Reload a chain and re-validate it by replaying the log from the empty structure.
+
+    A chain file that does not parse raises FormatError.
+    """
     root = Path(directory)
-    text = (root / "chain.txt").read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = structfile.read_text(root / "chain.txt").splitlines()
     header = [ln for ln in lines if ln.startswith("# schedule ")]
     if not header:
         raise FormatError("chain file is missing its schedule header")
@@ -410,21 +438,8 @@ def load_chain(directory: Union[str, Path]) -> Chain:
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        tokens = ln.split()
-        if tokens[0] != "step":
-            raise FormatError(f"bad chain log line {ln!r}")
-        step = int(tokens[1])
-        if "A" not in tokens or "B-file" not in tokens or "map" not in tokens:
-            raise FormatError(f"bad chain log line {ln!r}")
-        a_at = tokens.index("A")
-        b_at = tokens.index("B-file")
-        m_at = tokens.index("map")
-        base_ids = tuple(int(t) for t in tokens[a_at + 1:b_at])
-        pattern = structfile.load(root / tokens[b_at + 1])
-        mapping = {}
-        for pair in tokens[m_at + 1:]:
-            s, d = pair.split(":")
-            mapping[int(s)] = int(d)
+        step, base_ids, b_file, mapping = _parse_log_line(ln)
+        pattern = structfile.load(root / b_file)
         base = frozenset(base_ids)
         extension = relabel(pattern, mapping)
         result = amalgam(stage, extension, base)

@@ -158,14 +158,20 @@ def _check_cross_params(nary_params: ClassParams, clique_params: ClassParams) ->
             f"tuple arity {nary_params.n} is not r*s = {clique_params.r * clique_params.s}")
 
 
-def _lambda_delta_sweep(d: NaryStructure, c_c: CliqueStructure, a_univ: frozenset[int]) -> None:
+def _relative_predim_sweep(c: CliqueStructure, d: NaryStructure, a_univ: frozenset[int],
+                           message: str, keep=None) -> None:
+    """Assert predim_rel(c, x, x & a_univ) == predim_rel(d, x, x & a_univ) for every
+    subset x of the shared universe that passes `keep` (all of them by default);
+    a failure raises AssertionError(message) formatted with x, lhs and rhs."""
     elems = sorted(d.universe)
     for msk in range(1 << len(elems)):
         x = frozenset(elems[i] for i in range(len(elems)) if msk >> i & 1)
-        lhs = predim_rel(c_c, x, x & a_univ)
+        if keep is not None and not keep(x):
+            continue
+        lhs = predim_rel(c, x, x & a_univ)
         rhs = predim_rel(d, x, x & a_univ)
         if lhs != rhs:
-            raise AssertionError(f"relative predimension mismatch on {sorted(x)}: {lhs} != {rhs}")
+            raise AssertionError(message.format(x=sorted(x), lhs=lhs, rhs=rhs))
 
 
 def nary_to_clique(a: NaryStructure, a_c: CliqueStructure, b: NaryStructure
@@ -206,7 +212,8 @@ def nary_to_clique(a: NaryStructure, a_c: CliqueStructure, b: NaryStructure
     # the subset-by-subset correspondence is exponential; above the cap the
     # rank-table comparison below still pins the geometry exactly
     if len(d.universe) <= _SWEEP_LIMIT:
-        _lambda_delta_sweep(d, c_c, frozenset(a.universe))
+        _relative_predim_sweep(c_c, d, frozenset(a.universe),
+                               "relative predimension mismatch on {x}: {lhs} != {rhs}")
     if not same_pregeometry(d, c_c):
         raise AssertionError("tuple and clique extensions have different rank tables")
     return d, c_c, GadgetReport(tuple(entries))
@@ -303,13 +310,8 @@ def clique_to_nary(a_c: CliqueStructure, a_rs: NaryStructure, b_c: CliqueStructu
     if not is_strong(b_rs, a_univ):
         raise AssertionError("the base tuple structure is not self-sufficient in the extension")
     if len(b_rs.universe) <= _SWEEP_LIMIT:
-        elems = sorted(b_rs.universe)
-        for msk in range(1 << len(elems)):
-            x = frozenset(elems[i] for i in range(len(elems)) if msk >> i & 1)
-            if not is_good_set(x, b_c, anchors):
-                continue
-            if predim_rel(b_c, x, x & a_univ) != predim_rel(b_rs, x, x & a_univ):
-                raise AssertionError(f"good-set correspondence fails on {sorted(x)}")
+        _relative_predim_sweep(b_c, b_rs, a_univ, "good-set correspondence fails on {x}",
+                               keep=lambda x: is_good_set(x, b_c, anchors))
     if not same_pregeometry(b_rs, b_c):
         raise AssertionError("clique and tuple extensions have different rank tables")
     return b_rs, GadgetReport(tuple(entries))

@@ -47,45 +47,22 @@ def _require_in_class(struct: Structure) -> None:
         raise DomainError("structure is not in its class (some subset has negative predimension)")
 
 
-def _sum_over_subsets(arr: list[int], nbits: int) -> None:
-    for i in range(nbits):
-        bit = 1 << i
-        for m in range(len(arr)):
-            if m & bit:
-                arr[m] += arr[m ^ bit]
-
-
 def _predim_table(ev) -> list[int]:
-    """predim of every subset mask, via subset-sum dynamic programming."""
-    n = ev.nbits
-    size = 1 << n
-    if ev.rel_masks is not None:
-        cnt = [0] * size
-        for tm in ev.rel_masks:
-            cnt[tm] += 1
-        _sum_over_subsets(cnt, n)
-        return [m.bit_count() - cnt[m] for m in range(size)]
-    total = [0] * size
-    s1 = ev.s - 1
-    for kmasks in ev.cliques:
-        cnt = [0] * size
-        for tm in kmasks:
-            cnt[tm] += 1
-        _sum_over_subsets(cnt, n)
-        for m in range(size):
-            if cnt[m] > s1:
-                total[m] += cnt[m] - s1
-    return [m.bit_count() - total[m] for m in range(size)]
+    """predim of every subset mask."""
+    return [ev.value(m) for m in range(1 << ev.nbits)]
 
 
 def _rank_table(ev) -> list[int]:
-    """rank of every subset mask: min predim over supersets, filled top-down."""
-    n = ev.nbits
-    size = 1 << n
+    """rank of every subset mask: min predim over supersets.
+
+    Masks are filled in decreasing order: every one-element superset m | bit
+    is larger than m, so it already holds its rank when m reads it.
+    """
     table = _predim_table(ev)
-    for m in sorted(range(size), key=lambda x: x.bit_count(), reverse=True):
+    full = ev.full
+    for m in range(full, -1, -1):
         best = table[m]
-        free = ev.full & ~m
+        free = full & ~m
         while free:
             bit = free & -free
             free ^= bit

@@ -52,6 +52,3 @@ class GadgetReport:
     @property
     def fresh_elements(self) -> frozenset[int]:
         return frozenset(e for entry in self.entries for e in entry.fresh)
-
-    def merged(self, other: "GadgetReport") -> "GadgetReport":
-        return GadgetReport(self.entries + other.entries)

@@ -45,7 +45,7 @@ def serialize(a: Structure) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_ids(words: Iterable[str], what: str) -> list[int]:
+def parse_ids(words: Iterable[str], what: str) -> list[int]:
     out = []
     for w in words:
         # str.isdigit also accepts digits int() rejects, such as '²'
@@ -90,7 +90,7 @@ def parse_lines(lines: list[str]) -> tuple[Structure, int]:
     _, univ_line = take()
     if univ_line != "universe" and not univ_line.startswith("universe "):
         raise FormatError(f"expected a 'universe' line, got {univ_line!r}")
-    ids = _parse_ids(univ_line.split()[1:], "universe")
+    ids = parse_ids(univ_line.split()[1:], "universe")
     if ids != sorted(set(ids)):
         raise FormatError("universe ids must be strictly ascending")
     universe = frozenset(ids)
@@ -104,7 +104,7 @@ def parse_lines(lines: list[str]) -> tuple[Structure, int]:
         if line.startswith("rel ") or line == "rel":
             if kind != "nary":
                 raise FormatError("'rel' line in a clique structure")
-            t = _parse_ids(line.split()[1:], "tuple")
+            t = parse_ids(line.split()[1:], "tuple")
             if len(t) != params.n:
                 raise FormatError(f"rel line has {len(t)} ids, expected n={params.n}")
             relation.add(tuple(t))
@@ -117,7 +117,7 @@ def parse_lines(lines: list[str]) -> tuple[Structure, int]:
                 raise FormatError(f"bad clique line {line!r}")
             members = []
             for g in groups:
-                t = _parse_ids([w.strip() for w in g.split(",") if w.strip() != ""], "member")
+                t = parse_ids([w.strip() for w in g.split(",") if w.strip() != ""], "member")
                 if len(t) != params.r:
                     raise FormatError(f"clique member ({g}) has {len(t)} ids, expected r={params.r}")
                 members.append(tuple(t))
@@ -141,12 +141,16 @@ def parse(text: str) -> Structure:
     return struct
 
 
-def load(path: Union[str, Path]) -> Structure:
+def read_text(path: Union[str, Path]) -> str:
+    """The file's text; FormatError if it is not UTF-8."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    return parse(text)
+
+
+def load(path: Union[str, Path]) -> Structure:
+    return parse(read_text(path))
 
 
 def save(a: Structure, path: Union[str, Path]) -> None:

@@ -61,6 +61,17 @@ def test_predim_set_and_over(files):
     assert run(["predim", five, "--set", "2", "--over", "3,4"]) == (0, "0\n")
 
 
+@pytest.mark.parametrize("cmd", [["predim"], ["predim", "--over", "0"], ["rank", "--set", "0"],
+                                 ["class"], ["strong", "--sub", "0"]])
+def test_invalid_structure_exit_1(tmp_path, capsys, cmd):
+    # a tuple with an entry outside the universe: every command must refuse it
+    p = tmp_path / "x.txt"
+    p.write_text("kind nary\nparams n=3 r=1\nuniverse 0 1\nrel 0 1 9\nend\n")
+    code, out = run([cmd[0], str(p)] + cmd[1:])
+    assert (code, out) == (1, "")
+    assert "invalid structure" in capsys.readouterr().err
+
+
 def test_strong_exit_codes(files):
     _, _, five, *_ = files
     code, out = run(["strong", five, "--sub", "3,4"])

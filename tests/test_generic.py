@@ -1,6 +1,6 @@
 import pytest
 
-from pregeom import (ClassParams, DomainError, GrowthSchedule,
+from pregeom import (ClassParams, DomainError, FormatError, GrowthSchedule,
                      NaryStructure, canonical_key, genericity_check, grow,
                      in_class, induced, is_strong, load_chain, relabel,
                      save_chain, validate, verify_embedding)
@@ -142,4 +142,26 @@ class TestChainPersistence:
                   [ln for ln in lines if ln.startswith("step ")][:-1]
         path.write_text("\n".join(dropped) + "\n")
         with pytest.raises(DomainError):
+            load_chain(tmp_path / "c")
+
+    @pytest.mark.parametrize("tamper", [
+        lambda text: b"\xff\xfe",
+        lambda text: text.replace(b"step 1 ", b"step x "),
+        lambda text: text.replace(b"step 2 A B-file extensions/ext_0002.txt map 0:1 1:2", b"step"),
+        lambda text: text.replace(b" 1:2", b" 12"),
+        lambda text: text.replace(b"seed=0 ", b""),
+        lambda text: text.replace(b"seed=0 ", b"seed=zero "),
+        lambda text: text.replace(b"seed=0 ", b"seed "),
+        lambda text: text.replace(b"kind=nary n=3 r=1", b"kind=nary n=1 r=1"),
+    ], ids=["not-utf8", "step-not-a-number", "bare-step", "map-pair-without-colon",
+            "no-seed", "seed-not-a-number", "field-without-value", "bad-params"])
+    def test_malformed_chain_file_is_a_format_error(self, tmp_path, tamper):
+        chain = grow(GrowthSchedule("nary", P31, 6, 3, 0))
+        save_chain(chain, tmp_path / "c")
+        path = tmp_path / "c" / "chain.txt"
+        text = path.read_bytes()
+        tampered = tamper(text)
+        assert tampered != text
+        path.write_bytes(tampered)
+        with pytest.raises(FormatError):
             load_chain(tmp_path / "c")

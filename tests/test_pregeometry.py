@@ -145,8 +145,13 @@ class TestPregeometryOf:
         for b in subsets(range(5)):
             assert pg.rank(b) == len(b)
 
-    def test_rank_matches_direct(self):
-        for a in in_class_samples(19, 20):
+    @pytest.mark.parametrize("kind", ["nary", "clique"])
+    def test_rank_matches_direct(self, kind):
+        samples = in_class_samples(19, 20, kind)
+        if kind == "clique":
+            # several cliques at once exercise the sum over cliques in the table
+            assert max(len(a.maxcliques) for a in samples) >= 2
+        for a in samples:
             pg = pregeometry_of(a)
             for b in subsets(a.universe):
                 assert pg.rank(b) == rank(a, b) == naive_min_over(a, b)
