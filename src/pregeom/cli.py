@@ -25,13 +25,11 @@ from .structures import ClassParams, validate
 
 
 def _ids(text: str) -> frozenset[int]:
+    """A comma-separated id list; each id follows the structure files' grammar."""
     text = text.strip()
     if not text:
         return frozenset()
-    try:
-        return frozenset(int(w) for w in text.split(","))
-    except ValueError as exc:
-        raise FormatError(f"bad id list {text!r}: expected comma-separated integers") from exc
+    return frozenset(structfile.parse_ids((w.strip() for w in text.split(",")), "element"))
 
 
 def _print_structure(a, header=None):

@@ -16,8 +16,7 @@ from typing import Optional
 from .amalgam import free_amalgam, standard_amalgam
 from .errors import DomainError
 from .generic import structure_from_key
-from .predimension import (_evaluator, _min_over, in_class, is_strong,
-                           predim_rel)
+from .predimension import in_class, is_strong, min_predim_over, predim_rel
 from .pregeometry import max_ground_cap, same_pregeometry
 from .reports import GadgetEntry, GadgetReport, fmt_clique, fmt_tuple
 from .structures import (CliqueStructure, ClassParams, NaryStructure, RTuple,
@@ -33,10 +32,14 @@ class PartialPgIso:
 
     pairs: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        if len({a for a, _ in self.pairs}) != len(self.pairs):
+            raise DomainError("partial map gives an element two images")
+        if len({b for _, b in self.pairs}) != len(self.pairs):
+            raise DomainError("partial map is not injective")
+
     @classmethod
     def of(cls, mapping: dict[int, int]) -> "PartialPgIso":
-        if len(set(mapping.values())) != len(mapping):
-            raise DomainError("partial map is not injective")
         return cls(tuple(sorted(mapping.items())))
 
     @property
@@ -60,11 +63,10 @@ def verify_partial_pg_iso(iso: PartialPgIso, a: Structure, b: Structure) -> bool
     dom = sorted(iso.domain)
     if len(dom) > 20:
         raise DomainError("domain too large for subset-by-subset verification")
-    ev_a = _evaluator(a)
-    ev_b = _evaluator(b)
+    # min_predim_over, not rank: out-of-class inputs are compared, not refused
     for m in range(1 << len(dom)):
         sub = [dom[i] for i in range(len(dom)) if m >> i & 1]
-        if _min_over(ev_a, ev_a.mask(sub)) != _min_over(ev_b, ev_b.mask(mapping[e] for e in sub)):
+        if min_predim_over(a, sub) != min_predim_over(b, [mapping[e] for e in sub]):
             return False
     return True
 

@@ -40,7 +40,7 @@ def clique_weight(members, s: int) -> int:
 class _Evaluator:
     """Predimension of induced substructures, evaluated on element bitmasks."""
 
-    __slots__ = ("elems", "index", "nbits", "full", "rel_masks", "cliques", "s")
+    __slots__ = ("elems", "index", "nbits", "full", "rel_masks", "cliques", "s", "verdict")
 
     def __init__(self, struct: Structure):
         report = validate(struct)
@@ -60,6 +60,7 @@ class _Evaluator:
             self.cliques = [[self._mask_of(t) for t in sorted(k)]
                             for k in sorted(struct.maxcliques, key=lambda k: sorted(k))]
             self.rel_masks = None
+        self.verdict = None  # class membership, filled by in_class()
 
     def _mask_of(self, t) -> int:
         m = 0
@@ -102,14 +103,21 @@ class _Evaluator:
                 total += cnt - s1
         return size - total
 
+    def in_class(self) -> bool:
+        """Whether the empty set is self-sufficient; searched once per evaluator."""
+        if self.verdict is None:
+            self.verdict = _min_over(self, 0)[0] >= 0
+        return self.verdict
+
 
 @lru_cache(maxsize=2048)
 def _evaluator(struct: Structure) -> _Evaluator:
     return _Evaluator(struct)
 
 
-def _contract(ev: _Evaluator, base: int, top: int) -> int:
-    """Shrink the upper set: drop elements with non-negative marginal, to a fixpoint."""
+def _contract(ev: _Evaluator, base: int) -> int:
+    """Shrink the universe: drop elements with non-negative marginal, to a fixpoint."""
+    top = ev.full
     while True:
         p_top = ev.value(top)
         drop = 0
@@ -125,12 +133,9 @@ def _contract(ev: _Evaluator, base: int, top: int) -> int:
         top &= ~drop
 
 
-def _min_over(ev: _Evaluator, base: int, top: Optional[int] = None,
-              want_argmin: bool = False):
-    """Exact min of predim(X) over base <= X <= top, optionally with an argmin."""
-    if top is None:
-        top = ev.full
-    top = _contract(ev, base, top)
+def _min_over(ev: _Evaluator, base: int) -> tuple[int, int]:
+    """Exact min of predim(X) over base <= X <= universe, with an argmin mask."""
+    top = _contract(ev, base)
     free = []
     m = top & ~base
     while m:
@@ -160,9 +165,7 @@ def _min_over(ev: _Evaluator, base: int, top: Optional[int] = None,
         dfs(i + 1, cur_mask, cur_val)
 
     dfs(0, base, best)
-    if want_argmin:
-        return best, best_mask
-    return best
+    return best, best_mask
 
 
 def predim(a: Structure) -> int:
@@ -182,7 +185,7 @@ def predim_rel(a: Structure, part: Iterable[int], base: Iterable[int]) -> int:
 def min_predim_over(a: Structure, base: Iterable[int]) -> int:
     """min { predim(X) : base <= X <= universe }, the dimension of `base` when a is in class."""
     ev = _evaluator(a)
-    return _min_over(ev, ev.mask(base))
+    return _min_over(ev, ev.mask(base))[0]
 
 
 @dataclass(frozen=True)
@@ -202,10 +205,10 @@ def check_strong(a: Structure, base: Iterable[int]) -> tuple[bool, Optional[Stro
     ev = _evaluator(a)
     bmask = ev.mask(base)
     p_base = ev.value(bmask)
-    if _min_over(ev, bmask) >= p_base:
+    if _min_over(ev, bmask)[0] >= p_base:
         return True, None
     # minimum-size violators never use elements removed by contraction
-    top = _contract(ev, bmask, ev.full)
+    top = _contract(ev, bmask)
     cand = sorted(ev.unmask(top & ~bmask))
     for k in range(1, len(cand) + 1):
         for extra in itertools.combinations(cand, k):
@@ -221,12 +224,12 @@ def check_strong(a: Structure, base: Iterable[int]) -> tuple[bool, Optional[Stro
 def is_strong(a: Structure, base: Iterable[int]) -> bool:
     ev = _evaluator(a)
     bmask = ev.mask(base)
-    return _min_over(ev, bmask) >= ev.value(bmask)
+    return _min_over(ev, bmask)[0] >= ev.value(bmask)
 
 
 def in_class(a: Structure) -> bool:
     """Membership in the amalgamation class: the empty set is self-sufficient."""
-    return is_strong(a, ())
+    return _evaluator(a).in_class()
 
 
 def strong_hull(a: Structure, base: Iterable[int]) -> frozenset[int]:
@@ -238,7 +241,7 @@ def strong_hull(a: Structure, base: Iterable[int]) -> frozenset[int]:
     """
     ev = _evaluator(a)
     bmask = ev.mask(base)
-    best, mask = _min_over(ev, bmask, want_argmin=True)
+    best, mask = _min_over(ev, bmask)
     # every minimiser is self-sufficient; drop single elements while the minimum holds
     changed = True
     while changed:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import DomainError
-from .predimension import _evaluator, _min_over
+from .predimension import _evaluator, min_predim_over
 from .structures import Structure
 
 DEFAULT_MAX_GROUND = 18
@@ -36,14 +36,9 @@ def max_ground_cap() -> int:
     return cap
 
 
-@lru_cache(maxsize=512)
-def _in_class(struct: Structure) -> bool:
-    ev = _evaluator(struct)
-    return _min_over(ev, 0) >= 0
-
-
 def _require_in_class(struct: Structure) -> None:
-    if not _in_class(struct):
+    # the verdict is kept on the cached evaluator, shared with predimension.in_class
+    if not _evaluator(struct).in_class():
         raise DomainError("structure is not in its class (some subset has negative predimension)")
 
 
@@ -119,23 +114,16 @@ class Pregeometry:
 def rank(a: Structure, subset: Iterable[int]) -> int:
     """Pregeometry rank of `subset` inside `a` (the minimum over supersets)."""
     _require_in_class(a)
-    ev = _evaluator(a)
-    return _min_over(ev, ev.mask(subset))
+    return min_predim_over(a, subset)
 
 
 def closure(a: Structure, subset: Iterable[int]) -> frozenset[int]:
     """Elements whose addition does not raise the rank of `subset`."""
     _require_in_class(a)
-    ev = _evaluator(a)
-    bmask = ev.mask(subset)
-    r = _min_over(ev, bmask)
-    out = set(ev.unmask(bmask))
-    for e in ev.elems:
-        if e in out:
-            continue
-        if _min_over(ev, bmask | (1 << ev.index[e])) == r:
-            out.add(e)
-    return frozenset(out)
+    base = frozenset(subset)
+    r = min_predim_over(a, base)
+    return base | {e for e in a.sorted_universe()
+                   if e not in base and min_predim_over(a, base | {e}) == r}
 
 
 def pregeometry_of(a: Structure) -> Pregeometry:

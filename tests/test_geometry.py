@@ -226,3 +226,22 @@ class TestBackAndForth:
             assert dom[0] in res.iso.domain
             assert res.iso.mapping[dom[0]] == cod[0]
             assert verify_partial_pg_iso(res.iso, res.nary_stage, res.clique_stage)
+
+
+class TestPartialPgIso:
+    @pytest.mark.parametrize("build", [
+        lambda: PartialPgIso(((0, 5), (1, 5))),   # two sources, one image
+        lambda: PartialPgIso(((1, 5), (1, 6))),   # one source, two images
+        lambda: PartialPgIso.of({0: 5, 1: 5}),
+    ], ids=["direct-not-injective", "direct-two-images", "of-not-injective"])
+    def test_every_route_checks_the_map(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    def test_rank_two_pair_cannot_collapse_to_a_point(self):
+        # {0,1} has rank 2 in a, and a single point has rank 1 in b
+        a = NaryStructure.of(ClassParams(3, 1), range(3), [(0, 1, 2), (1, 0, 2)])
+        b = NaryStructure.of(ClassParams(3, 1), [5], [])
+        with pytest.raises(DomainError):
+            verify_partial_pg_iso(PartialPgIso(((0, 5), (1, 5))), a, b)
+        assert verify_partial_pg_iso(PartialPgIso(((0, 5),)), a, b)

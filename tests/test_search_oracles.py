@@ -127,3 +127,19 @@ def test_oracle_module_imports_only_structures():
         elif isinstance(node, ast.Import):
             used.update(a.name for a in node.names if a.name.startswith("pregeom"))
     assert used == {"structures"}
+
+
+def test_superset_minimum_search_stays_in_predimension():
+    # rank, closure and the class verdict reach the search through
+    # min_predim_over and in_class, so the search has one owner
+    private = {"_min_over", "_contract"}
+    named = {}
+    for path in sorted(Path(oracles.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if private & set(names):
+                named.setdefault(path.name, set()).update(private & set(names))
+    assert set(named) == {"predimension.py"}
