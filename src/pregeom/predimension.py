@@ -11,6 +11,15 @@ subset searches below rely on that in two ways:
   * a lower bound: predim(X) >= predim(S) + sum of the negative top
     marginals of the still-free elements, for every S <= X <= T.
 
+Both facts hold for any submodular objective, so the same search also
+finds the largest minimiser of predim over [B, U] (the closure of B when the
+structure is in class).  Minimisers of a submodular function over an interval
+are closed under union, so the largest one is unique; it is the unique argmin
+of (n+1)·predim(X) − |X| for n = |U|, because one unit of predim outweighs
+any difference in size.  That objective is a positive multiple of a
+submodular function minus a modular one, hence submodular, and one search on
+it replaces one search per outside element.
+
 The branch-and-bound is required to agree bit-exactly with plain
 enumeration; the test suite carries the naive oracle.
 """
@@ -20,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .errors import DomainError
@@ -134,7 +144,11 @@ def _contract(ev: _Evaluator, base: int) -> int:
 
 
 def _min_over(ev: _Evaluator, base: int) -> tuple[int, int]:
-    """Exact min of predim(X) over base <= X <= universe, with an argmin mask."""
+    """Exact min of predim(X) over base <= X <= universe, with an argmin mask.
+
+    `ev` only needs `full` and `value`, and any submodular `value` keeps the
+    search exact; `largest_minimiser` passes a scaled predimension.
+    """
     top = _contract(ev, base)
     free = []
     m = top & ~base
@@ -186,6 +200,18 @@ def min_predim_over(a: Structure, base: Iterable[int]) -> int:
     """min { predim(X) : base <= X <= universe }, the dimension of `base` when a is in class."""
     ev = _evaluator(a)
     return _min_over(ev, ev.mask(base))[0]
+
+
+def largest_minimiser(a: Structure, base: Iterable[int]) -> frozenset[int]:
+    """The largest X with base <= X <= universe and predim(X) = min_predim_over(a, base).
+
+    It is the unique argmin of the submodular (n+1)·predim(X) − |X|, found by
+    one search (see the module docstring).
+    """
+    ev = _evaluator(a)
+    scale = ev.nbits + 1
+    scaled = SimpleNamespace(full=ev.full, value=lambda m: scale * ev.value(m) - m.bit_count())
+    return ev.unmask(_min_over(scaled, ev.mask(base))[1])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
-                     NaryStructure, closure, grow, induced, is_strong,
-                     pg_isomorphic, pregeometry_of, rank, relabel,
-                     same_pregeometry)
+                     NaryStructure, closure, grow, in_class, induced,
+                     is_strong, min_predim_over, pg_isomorphic, pregeometry_of,
+                     rank, relabel, same_pregeometry)
+from pregeom import predimension
 from pregeom.gen import (random_clique_in_class, random_nary_in_class,
                          random_subset)
 from pregeom.oracles import (naive_closure, naive_closure_union_formula, naive_dims,
@@ -47,10 +48,38 @@ class TestClosure:
             closure(bad, set())
 
     def test_agrees_with_enumeration_oracle(self):
-        for a in in_class_samples(11, 40) + in_class_samples(12, 30, "clique"):
+        for i, a in enumerate(in_class_samples(11, 40) + in_class_samples(12, 30, "clique")):
+            rng = random.Random(i)
             for _ in range(4):
-                b = random_subset(random.Random(len(a.universe)), a.universe)
+                b = random_subset(rng, a.universe)
                 assert closure(a, b) == naive_closure(a, b)
+
+    def test_one_search_per_closure(self, monkeypatch):
+        a = grow(GrowthSchedule("nary", P31, 12, 3, 0)).final
+        assert in_class(a)  # warms the evaluator and its class verdict
+        inner = predimension._min_over
+        calls = []
+
+        def counted(ev, base):
+            calls.append(base)
+            return inner(ev, base)
+
+        monkeypatch.setattr(predimension, "_min_over", counted)
+        closure(a, {a.sorted_universe()[0]})
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind,params,target", [("nary", P31, 30), ("clique", P21, 40)],
+                             ids=["tuple", "clique"])
+    def test_agrees_with_per_element_definition_on_grown_stages(self, kind, params, target):
+        # above enumeration size: e is in cl(B) iff adding it keeps the minimum
+        a = grow(GrowthSchedule(kind, params, target, 3, 0)).final
+        elems = a.sorted_universe()
+        rng = random.Random(target)
+        for _ in range(10):
+            b = set(rng.sample(elems, rng.randint(1, 3)))
+            r = min_predim_over(a, b)
+            expected = {e for e in elems if min_predim_over(a, b | {e}) == r}
+            assert closure(a, b) == expected
 
     def test_union_formula_on_self_sufficient_bases(self):
         # the union-of-dependent-sets description matches on strong bases

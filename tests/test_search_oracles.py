@@ -131,7 +131,7 @@ def test_oracle_module_imports_only_structures():
 
 def test_superset_minimum_search_stays_in_predimension():
     # rank, closure and the class verdict reach the search through
-    # min_predim_over and in_class, so the search has one owner
+    # min_predim_over, largest_minimiser and in_class, so the search has one owner
     private = {"_min_over", "_contract"}
     named = {}
     for path in sorted(Path(oracles.__file__).parent.glob("*.py")):
