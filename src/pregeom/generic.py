@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Iterable, Optional, Union
 
 from . import structfile
@@ -416,7 +416,11 @@ def _parse_log_line(ln: str) -> tuple[int, tuple[int, ...], str, dict[int, int]]
         mapping[s] = d
     step, = structfile.parse_ids(tokens[1:2], "step")
     base_ids = tuple(structfile.parse_ids(tokens[a_at + 1:b_at], "base"))
-    return step, base_ids, tokens[b_at + 1], mapping
+    b_file = tokens[b_at + 1]
+    # save_chain writes extensions/ext_NNNN.txt; a lexical check keeps symlinks working
+    if PurePath(b_file).anchor or ".." in PurePath(b_file).parts:
+        raise FormatError(f"chain extension file {b_file!r} is outside the chain directory")
+    return step, base_ids, b_file, mapping
 
 
 def load_chain(directory: Union[str, Path]) -> Chain:

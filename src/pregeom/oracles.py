@@ -56,6 +56,14 @@ def naive_strong_witness(struct, base):
     return None
 
 
+def naive_strong_hull(struct, base):
+    """The intersection of every superset of `base` that reaches the minimum predimension."""
+    base = frozenset(base)
+    d0 = naive_min_over(struct, base)
+    return frozenset.intersection(*(base | extra for extra in subsets(struct.universe - base)
+                                    if naive_predim(struct, base | extra) == d0))
+
+
 def naive_closure(struct, base):
     """Matroid closure from the minimum-over-supersets dimension, by full enumeration."""
     base = frozenset(base)

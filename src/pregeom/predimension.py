@@ -11,14 +11,15 @@ subset searches below rely on that in two ways:
   * a lower bound: predim(X) >= predim(S) + sum of the negative top
     marginals of the still-free elements, for every S <= X <= T.
 
-Both facts hold for any submodular objective, so the same search also
-finds the largest minimiser of predim over [B, U] (the closure of B when the
-structure is in class).  Minimisers of a submodular function over an interval
-are closed under union, so the largest one is unique; it is the unique argmin
-of (n+1)·predim(X) − |X| for n = |U|, because one unit of predim outweighs
-any difference in size.  That objective is a positive multiple of a
-submodular function minus a modular one, hence submodular, and one search on
-it replaces one search per outside element.
+Both facts hold for any submodular objective.  Minimisers over [B, U] are
+closed under union and intersection, so there is a least and a largest one,
+the unique argmins of (n+1)·predim(X) ± |X| (n = |U|; one unit of predim
+outweighs any difference in size), which are submodular too.  The largest is
+the closure of B when the structure is in class.  The least, H, is the
+self-sufficient closure of B: predim(X ∩ S) <= predim(X) for a minimiser X
+and a strong S >= B, so H lies inside every strong superset of B; and
+predim(V ∩ H) <= predim(V) + predim(H) - predim(V ∪ H) <= predim(V), so every
+minimum-size violator V of a non-strong B lies inside H.
 
 The branch-and-bound is required to agree bit-exactly with plain
 enumeration; the test suite carries the naive oracle.
@@ -29,7 +30,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Iterable, Optional
 
 from .errors import DomainError
@@ -125,44 +125,45 @@ def _evaluator(struct: Structure) -> _Evaluator:
     return _Evaluator(struct)
 
 
-def _contract(ev: _Evaluator, base: int) -> int:
-    """Shrink the universe: drop elements with non-negative marginal, to a fixpoint."""
-    top = ev.full
+def _contract(value, top: int, base: int) -> int:
+    """Shrink `top`: drop elements with non-negative marginal under `value`, to a fixpoint."""
     while True:
-        p_top = ev.value(top)
+        p_top = value(top)
         drop = 0
-        rest = top & ~base
-        m = rest
+        m = top & ~base
         while m:
             bit = m & -m
             m ^= bit
-            if p_top - ev.value(top & ~bit) >= 0:
+            if p_top - value(top & ~bit) >= 0:
                 drop |= bit
         if not drop:
             return top
         top &= ~drop
 
 
-def _min_over(ev: _Evaluator, base: int) -> tuple[int, int]:
+def _min_over(ev: _Evaluator, base: int, tilt: int = 0) -> tuple[int, int]:
     """Exact min of predim(X) over base <= X <= universe, with an argmin mask.
 
-    `ev` only needs `full` and `value`, and any submodular `value` keeps the
-    search exact; `largest_minimiser` passes a scaled predimension.
+    With tilt=+1 the argmin is the least minimiser and with tilt=-1 the
+    largest: the search runs on (n+1)·predim(X) + tilt·|X| (see the module
+    docstring).  With tilt=0 it is whichever minimiser the search meets first.
     """
-    top = _contract(ev, base)
+    scale = ev.nbits + 1
+    value = (lambda m: scale * ev.value(m) + tilt * m.bit_count()) if tilt else ev.value
+    top = _contract(value, ev.full, base)
     free = []
     m = top & ~base
     while m:
         bit = m & -m
         m ^= bit
         free.append(bit)
-    p_top = ev.value(top)
-    marg = {bit: p_top - ev.value(top & ~bit) for bit in free}
+    p_top = value(top)
+    marg = {bit: p_top - value(top & ~bit) for bit in free}
     free.sort(key=lambda b: marg[b])
     suffix = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + min(0, marg[free[i]])
-    best = ev.value(base)
+    best = value(base)
     best_mask = base
 
     def dfs(i: int, cur_mask: int, cur_val: int):
@@ -175,10 +176,12 @@ def _min_over(ev: _Evaluator, base: int) -> tuple[int, int]:
                 best_mask = cur_mask
             return
         bit = free[i]
-        dfs(i + 1, cur_mask | bit, ev.value(cur_mask | bit))
+        dfs(i + 1, cur_mask | bit, value(cur_mask | bit))
         dfs(i + 1, cur_mask, cur_val)
 
     dfs(0, base, best)
+    if tilt:
+        best = (best - tilt * best_mask.bit_count()) // scale
     return best, best_mask
 
 
@@ -205,13 +208,10 @@ def min_predim_over(a: Structure, base: Iterable[int]) -> int:
 def largest_minimiser(a: Structure, base: Iterable[int]) -> frozenset[int]:
     """The largest X with base <= X <= universe and predim(X) = min_predim_over(a, base).
 
-    It is the unique argmin of the submodular (n+1)·predim(X) − |X|, found by
-    one search (see the module docstring).
+    One search on (n+1)·predim(X) − |X| finds it (see the module docstring).
     """
     ev = _evaluator(a)
-    scale = ev.nbits + 1
-    scaled = SimpleNamespace(full=ev.full, value=lambda m: scale * ev.value(m) - m.bit_count())
-    return ev.unmask(_min_over(scaled, ev.mask(base))[1])
+    return ev.unmask(_min_over(ev, ev.mask(base), tilt=-1)[1])
 
 
 @dataclass(frozen=True)
@@ -226,25 +226,24 @@ def check_strong(a: Structure, base: Iterable[int]) -> tuple[bool, Optional[Stro
     """Self-sufficiency of `base` in `a`, plus a witness when it fails.
 
     The witness is the minimum-cardinality violating superset, lexicographic
-    least among those (element ids ascending).
+    least among those (element ids ascending).  `base` is strong exactly when
+    it is its own strong hull, which holds every such violator (see the module
+    docstring).
     """
     ev = _evaluator(a)
     bmask = ev.mask(base)
-    p_base = ev.value(bmask)
-    if _min_over(ev, bmask)[0] >= p_base:
+    hull = _min_over(ev, bmask, tilt=1)[1]
+    if hull == bmask:
         return True, None
-    # minimum-size violators never use elements removed by contraction
-    top = _contract(ev, bmask)
-    cand = sorted(ev.unmask(top & ~bmask))
+    p_base = ev.value(bmask)
+    cand = sorted(ev.unmask(hull & ~bmask))
     for k in range(1, len(cand) + 1):
         for extra in itertools.combinations(cand, k):
-            m = bmask
-            for e in extra:
-                m |= 1 << ev.index[e]
+            m = bmask | ev.mask(extra)
             val = ev.value(m)
             if val < p_base:
                 return False, StrongWitness(tuple(sorted(ev.unmask(m))), val - p_base)
-    raise AssertionError("minimum below base predim but no violating superset found")
+    raise AssertionError("the strong hull is larger than the base but holds no violating superset")
 
 
 def is_strong(a: Structure, base: Iterable[int]) -> bool:
@@ -259,22 +258,10 @@ def in_class(a: Structure) -> bool:
 
 
 def strong_hull(a: Structure, base: Iterable[int]) -> frozenset[int]:
-    """A deterministic self-sufficient superset of `base` realising the minimum predimension.
+    """The self-sufficient closure of `base`, its least strong superset.
 
-    No single element outside `base` can be dropped from the result without
-    raising its predimension.  The result need not be inclusion-minimal among
-    the minimisers: a block of elements may only be removable together.
+    It is the least X with base <= X <= universe and predim(X) =
+    min_predim_over(a, base); one search on (n+1)·predim(X) + |X| finds it.
     """
     ev = _evaluator(a)
-    bmask = ev.mask(base)
-    best, mask = _min_over(ev, bmask)
-    # every minimiser is self-sufficient; drop single elements while the minimum holds
-    changed = True
-    while changed:
-        changed = False
-        for e in sorted(ev.unmask(mask & ~bmask), reverse=True):
-            bit = 1 << ev.index[e]
-            if ev.value(mask & ~bit) == best:
-                mask &= ~bit
-                changed = True
-    return ev.unmask(mask)
+    return ev.unmask(_min_over(ev, ev.mask(base), tilt=1)[1])

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from pregeom import (ClassParams, DomainError, FormatError, GrowthSchedule,
@@ -144,23 +146,39 @@ class TestChainPersistence:
         with pytest.raises(DomainError):
             load_chain(tmp_path / "c")
 
+    def test_symlinked_extensions_directory_loads(self, tmp_path):
+        # the B-file check is lexical, so a symlink inside the chain directory is fine
+        chain = grow(GrowthSchedule("nary", P31, 6, 3, 0))
+        save_chain(chain, tmp_path / "c")
+        (tmp_path / "c" / "extensions").rename(tmp_path / "elsewhere")
+        (tmp_path / "c" / "extensions").symlink_to(tmp_path / "elsewhere")
+        assert load_chain(tmp_path / "c").final == chain.final
+
     @pytest.mark.parametrize("tamper", [
-        lambda text: b"\xff\xfe",
-        lambda text: text.replace(b"step 1 ", b"step x "),
-        lambda text: text.replace(b"step 2 A B-file extensions/ext_0002.txt map 0:1 1:2", b"step"),
-        lambda text: text.replace(b" 1:2", b" 12"),
-        lambda text: text.replace(b"seed=0 ", b""),
-        lambda text: text.replace(b"seed=0 ", b"seed=zero "),
-        lambda text: text.replace(b"seed=0 ", b"seed "),
-        lambda text: text.replace(b"kind=nary n=3 r=1", b"kind=nary n=1 r=1"),
+        lambda text, outside: b"\xff\xfe",
+        lambda text, outside: text.replace(b"step 1 ", b"step x "),
+        lambda text, outside: text.replace(b"step 2 A B-file extensions/ext_0002.txt map 0:1 1:2", b"step"),
+        lambda text, outside: text.replace(b" 1:2", b" 12"),
+        lambda text, outside: text.replace(b"seed=0 ", b""),
+        lambda text, outside: text.replace(b"seed=0 ", b"seed=zero "),
+        lambda text, outside: text.replace(b"seed=0 ", b"seed "),
+        lambda text, outside: text.replace(b"kind=nary n=3 r=1", b"kind=nary n=1 r=1"),
+        # a valid extension file outside the chain directory, named two ways
+        lambda text, outside: text.replace(b"B-file extensions/ext_0001.txt",
+                                           b"B-file " + outside),
+        lambda text, outside: text.replace(b"B-file extensions/ext_0001.txt",
+                                           b"B-file extensions/../../outside.txt"),
     ], ids=["not-utf8", "step-not-a-number", "bare-step", "map-pair-without-colon",
-            "no-seed", "seed-not-a-number", "field-without-value", "bad-params"])
+            "no-seed", "seed-not-a-number", "field-without-value", "bad-params",
+            "absolute-b-file", "b-file-with-dotdot"])
     def test_malformed_chain_file_is_a_format_error(self, tmp_path, tamper):
         chain = grow(GrowthSchedule("nary", P31, 6, 3, 0))
         save_chain(chain, tmp_path / "c")
         path = tmp_path / "c" / "chain.txt"
+        outside = tmp_path / "outside.txt"
+        outside.write_bytes((tmp_path / "c" / "extensions" / "ext_0001.txt").read_bytes())
         text = path.read_bytes()
-        tampered = tamper(text)
+        tampered = tamper(text, os.fsencode(outside))
         assert tampered != text
         path.write_bytes(tampered)
         with pytest.raises(FormatError):

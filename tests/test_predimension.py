@@ -3,16 +3,19 @@ import random
 
 import pytest
 
-from pregeom import (CliqueStructure, ClassParams, DomainError, NaryStructure,
-                     check_strong, clique_weight, in_class, induced,
-                     is_strong, min_predim_over, predim, predim_rel,
-                     rank, strong_hull)
-from pregeom.gen import random_clique, random_nary, random_subset
+from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
+                     NaryStructure, check_strong, clique_weight, grow,
+                     in_class, induced, is_strong, min_predim_over, predim,
+                     predim_rel, rank, strong_hull)
+from pregeom.gen import (random_clique, random_clique_in_class, random_nary,
+                         random_nary_in_class, random_subset)
 from pregeom.oracles import (naive_is_strong, naive_min_over, naive_predim,
-                             naive_strong_witness, subsets)
+                             naive_strong_hull, naive_strong_witness, subsets)
 
 P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)
+P42 = ClassParams(4, 2)
+P32 = ClassParams(3, 2)
 
 
 class TestCliqueWeight:
@@ -195,15 +198,71 @@ class TestStrongHull:
             assert is_strong(a, hull)
             assert naive_predim(a, hull) == naive_min_over(a, seed)
 
-    def test_hull_drops_single_elements_only(self):
+    def test_hull_is_least_minimiser(self):
         # over {0}, the triples {0,3,4} (three tuples) and {0,1,2} (two) both
-        # keep the minimum 0, but the second one is removable only as a block
+        # keep the minimum 0; the hull is the least minimiser {0,3,4}, though
+        # {0,1,2} is removable from {0..4} only as a block
         a = NaryStructure.of(P31, range(5), [(0, 3, 4), (0, 4, 3), (3, 4, 0),
                                              (0, 1, 2), (0, 2, 1)])
         hull = strong_hull(a, {0})
-        assert hull == frozenset(range(5))
+        assert hull == frozenset({0, 3, 4})
         assert is_strong(a, hull)
         assert naive_predim(a, hull) == rank(a, {0}) == 0
         for e in hull - {0}:
             assert naive_predim(a, hull - {e}) > naive_predim(a, hull)
-        assert naive_predim(a, {0, 3, 4}) == 0
+        assert naive_predim(a, range(5)) == 0
+
+    @pytest.mark.parametrize("a, base, hull", [
+        # a single-element drop loop stops at {1,2,3,4,6,7}
+        (NaryStructure.of(P31, range(8), [(0, 7, 1), (4, 3, 1), (7, 5, 0), (4, 2, 7),
+                                          (7, 4, 6), (6, 2, 4), (3, 4, 1), (2, 6, 4)]),
+         {4, 7}, {2, 4, 6, 7}),
+        # ... and here at the whole universe
+        (CliqueStructure.of(P32, range(8), [[(1, 0), (2, 5), (6, 0)],
+                                            [(3, 1), (2, 6), (4, 7), (1, 5)],
+                                            [(5, 2), (7, 4), (3, 2), (3, 0)]]),
+         {3}, {0, 1, 2, 3, 5, 6}),
+    ], ids=["nary-3-1", "clique-3-2"])
+    def test_hull_below_single_element_drops(self, a, base, hull):
+        assert in_class(a)
+        assert strong_hull(a, base) == naive_strong_hull(a, base) == frozenset(hull)
+
+    def test_hull_agrees_with_naive_intersection(self):
+        rng = random.Random(81)
+        families = [lambda: random_nary_in_class(rng, P31, 8, min_size=4),
+                    lambda: random_nary_in_class(rng, P42, 8, min_size=4),
+                    lambda: random_clique_in_class(rng, P21, 8, min_size=4),
+                    lambda: random_clique_in_class(rng, P32, 8, min_size=4),
+                    lambda: random_nary(rng, P31, 8, min_size=5, max_relations=12)]
+        out_of_class = proper = 0
+        for make in families:
+            for _ in range(60):
+                a = make()
+                base = random_subset(rng, a.universe, max_take=3)
+                hull = strong_hull(a, base)
+                assert hull == naive_strong_hull(a, base)
+                out_of_class += not in_class(a)
+                proper += hull != base
+        assert out_of_class >= 20 and proper >= 60
+
+    def test_hull_on_grown_stage_is_forced(self):
+        # above naive-enumeration size: the 28-element tuple stage of the
+        # benchmark's queries workload
+        a = grow(GrowthSchedule("nary", P31, 30, 3, 1)).final
+        rng = random.Random(82)
+        elems = sorted(a.universe)
+        not_strong = 0
+        for _ in range(10):
+            base = frozenset(rng.sample(elems, rng.randint(1, 3)))
+            hull = strong_hull(a, base)
+            r = rank(a, base)
+            assert base <= hull and is_strong(a, hull)
+            assert predim(induced(a, hull)) == r
+            for e in hull - base:
+                assert min_predim_over(induced(a, a.universe - {e}), base) > r
+            ok, witness = check_strong(a, base)
+            assert ok == (hull == base)
+            if not ok:
+                not_strong += 1
+                assert set(witness.violating) <= hull
+        assert not_strong >= 3

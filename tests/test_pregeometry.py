@@ -60,13 +60,13 @@ class TestClosure:
         inner = predimension._min_over
         calls = []
 
-        def counted(ev, base):
-            calls.append(base)
-            return inner(ev, base)
+        def counted(ev, base, tilt=0):
+            calls.append(tilt)
+            return inner(ev, base, tilt)
 
         monkeypatch.setattr(predimension, "_min_over", counted)
         closure(a, {a.sorted_universe()[0]})
-        assert len(calls) == 1
+        assert calls == [-1]  # one largest-minimiser search
 
     @pytest.mark.parametrize("kind,params,target", [("nary", P31, 30), ("clique", P21, 40)],
                              ids=["tuple", "clique"])
