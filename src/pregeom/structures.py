@@ -9,6 +9,7 @@ immutable; every operation is a pure function returning fresh values.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -163,10 +164,14 @@ def induced_clique(a: CliqueStructure, subset: Iterable[int]) -> CliqueStructure
     s = frozenset(subset)
     if not s <= a.universe:
         raise DomainError(f"subset {sorted(s - a.universe)} is not contained in the universe")
-    traces = {frozenset(t for t in k if all(e in s for e in t)) for k in a.maxcliques}
-    traces = [k for k in traces if len(k) >= a.params.s]
-    maximal = frozenset(k for k in traces if not any(k < other for other in traces))
-    return CliqueStructure(a.params, s, maximal)
+    return CliqueStructure(a.params, s, _maximal_traces(a.maxcliques, s, a.params.s))
+
+
+def _maximal_traces(cliques: Iterable[Clique], subset, s: int) -> frozenset[Clique]:
+    """The maximal traces, of at least s members, of `cliques` on `subset`."""
+    traces = {frozenset(t for t in k if all(e in subset for e in t)) for k in cliques}
+    traces = [k for k in traces if len(k) >= s]
+    return frozenset(k for k in traces if not any(k < other for other in traces))
 
 
 def induced(a: Structure, subset: Iterable[int]) -> Structure:
@@ -246,29 +251,30 @@ def verify_embedding(emb: Embedding) -> bool:
     return relabel(emb.source, mapping) == image
 
 
-def _nary_signature(a: NaryStructure, e: int):
-    n = a.params.n
-    counts = [0] * n
-    for t in a.relation:
-        for i, x in enumerate(t):
-            if x == e:
-                counts[i] += 1
-    return tuple(counts)
+def _touching(items, universe) -> dict[int, list]:
+    """Element -> the items (tuples, or cliques as sets of tuples) whose entries include it."""
+    index = {e: [] for e in universe}
+    for item in items:
+        entries = item if isinstance(item, tuple) else {x for t in item for x in t}
+        for x in entries:
+            index[x].append(item)
+    return index
 
 
-def _clique_signature(a: CliqueStructure, e: int):
-    out = []
-    for k in a.maxcliques:
-        hit = sum(1 for t in k if e in t)
-        if hit:
-            out.append((len(k), hit))
-    return tuple(sorted(out))
-
-
-def _signature(a: Structure, e: int):
+def _signatures(a: Structure) -> dict[int, tuple]:
+    """Each element's isomorphism invariant: per-position tuple counts, or the
+    sorted (clique size, members containing it) pairs of its cliques."""
     if isinstance(a, NaryStructure):
-        return _nary_signature(a, e)
-    return _clique_signature(a, e)
+        counts = {e: [0] * a.params.n for e in a.universe}
+        for t in a.relation:
+            for i, x in enumerate(t):
+                counts[x][i] += 1
+        return {e: tuple(c) for e, c in counts.items()}
+    pairs = {e: [] for e in a.universe}
+    for k in a.maxcliques:
+        for x, hit in Counter(x for t in k for x in t).items():
+            pairs[x].append((len(k), hit))
+    return {e: tuple(sorted(p)) for e, p in pairs.items()}
 
 
 def iter_embeddings(pattern: Structure, target: Structure,
@@ -278,8 +284,14 @@ def iter_embeddings(pattern: Structure, target: Structure,
 
     `fixed` pins part of the map in advance.  With `bijective`, only full
     bijections are searched and element signatures prune the candidates.
-    Tuple structures are checked incrementally; clique structures get a full
-    verification at each leaf.
+    The free pattern elements are mapped depth first, with an explicit stack,
+    each to the target elements in increasing order.  Element indexes are
+    built once per call, and each new pair is checked only against the
+    members that touch it.  For tuple structures those checks decide the
+    embedding.  For clique structures they are necessary conditions (mapped
+    members of one pattern clique lie in one common target maxclique), and
+    each leaf compares the relabelled pattern with the traces of the target
+    maxcliques that touch the image, which is exactly the induced structure.
     """
     fixed = dict(fixed or {})
     if pattern.kind != target.kind or pattern.params != target.params:
@@ -291,16 +303,16 @@ def iter_embeddings(pattern: Structure, target: Structure,
         return
     if bijective and len(pattern.universe) != len(target.universe):
         return
-    nary = isinstance(pattern, NaryStructure)
-    src_elems = [e for e in pattern.sorted_universe() if e not in fixed]
-    if nary:
-        # constraint-heavy elements first shrinks the search tree
-        src_elems.sort(key=lambda e: (-sum(_nary_signature(pattern, e)), e))
-    used = set(fixed.values())
     mapping = dict(fixed)
     inverse = {d: s for s, d in fixed.items()}
+    pat_at = _touching(pattern.relation if isinstance(pattern, NaryStructure)
+                       else pattern.maxcliques, pattern.universe)
+    src_elems = [e for e in pattern.sorted_universe() if e not in fixed]
 
-    if nary and fixed:
+    if isinstance(pattern, NaryStructure):
+        tgt_at = _touching(target.relation, target.universe)
+        # constraint-heavy elements first shrinks the search tree
+        src_elems.sort(key=lambda e: (-len(pat_at[e]), e))
         # tuples buried inside the pre-mapped part are never touched below
         for t in pattern.relation:
             if all(x in mapping for x in t) and tuple(mapping[x] for x in t) not in target.relation:
@@ -309,41 +321,73 @@ def iter_embeddings(pattern: Structure, target: Structure,
             if all(x in inverse for x in t) and tuple(inverse[x] for x in t) not in pattern.relation:
                 return
 
-    def consistent_nary(e: int) -> bool:
-        for t in pattern.relation:
-            if e in t and all(x in mapping for x in t):
-                if tuple(mapping[x] for x in t) not in target.relation:
+        def consistent(e: int, w: int) -> bool:
+            for t in pat_at[e]:
+                if all(x in mapping for x in t) and tuple(mapping[x] for x in t) not in target.relation:
                     return False
-        w = mapping[e]
-        for t in target.relation:
-            if w in t and all(x in inverse for x in t):
-                if tuple(inverse[x] for x in t) not in pattern.relation:
+            for t in tgt_at[w]:
+                if all(x in inverse for x in t) and tuple(inverse[x] for x in t) not in pattern.relation:
                     return False
-        return True
+            return True
 
-    def rec(i: int):
-        if i == len(src_elems):
-            emb = Embedding.of(pattern, target, mapping)
-            if nary or verify_embedding(emb):
-                yield emb
-            return
-        e = src_elems[i]
-        sig = _signature(pattern, e) if bijective else None
-        for w in target.sorted_universe():
-            if w in used:
-                continue
-            if bijective and _signature(target, w) != sig:
+        def complete() -> bool:
+            return True
+    else:
+        tgt_at = _touching(target.maxcliques, target.universe)
+        homes: dict[RTuple, set[Clique]] = {}
+        for k in target.maxcliques:
+            for t in k:
+                homes.setdefault(t, set()).add(k)
+        s = target.params.s
+
+        def consistent(e: int, w: int) -> bool:
+            for k in pat_at[e]:
+                common = None
+                for t in k:
+                    if all(x in mapping for x in t):
+                        at = homes.get(tuple(mapping[x] for x in t), set())
+                        common = at if common is None else common & at
+                        if not common:
+                            return False
+            return True
+
+        def complete() -> bool:
+            touched = {k for w in inverse for k in tgt_at[w]}
+            relabelled = frozenset(frozenset(tuple(mapping[x] for x in t) for t in k)
+                                   for k in pattern.maxcliques)
+            return _maximal_traces(touched, inverse.keys(), s) == relabelled
+
+    if bijective:
+        src_sig, tgt_sig = _signatures(pattern), _signatures(target)
+    candidates = target.sorted_universe()
+    depth, nxt = 0, [0] * len(src_elems)
+    while depth >= 0:
+        if depth == len(src_elems):
+            if complete():
+                yield Embedding.of(pattern, target, mapping)
+            depth -= 1
+            continue
+        e = src_elems[depth]
+        if e in mapping:
+            # back from the subtree below: undo this level's last choice
+            del inverse[mapping.pop(e)]
+        j = nxt[depth]
+        while j < len(candidates):
+            w = candidates[j]
+            j += 1
+            if w in inverse or (bijective and tgt_sig[w] != src_sig[e]):
                 continue
             mapping[e] = w
             inverse[w] = e
-            used.add(w)
-            if not nary or consistent_nary(e):
-                yield from rec(i + 1)
-            used.discard(w)
-            del inverse[w]
-            del mapping[e]
-
-    yield from rec(0)
+            if consistent(e, w):
+                break
+            del mapping[e], inverse[w]
+        else:
+            nxt[depth] = 0
+            depth -= 1
+            continue
+        nxt[depth] = j
+        depth += 1
 
 
 def embeddings(pattern: Structure, target: Structure,

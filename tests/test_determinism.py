@@ -5,6 +5,7 @@ frozenset iteration order and hash randomisation must never leak into
 results.
 """
 
+import hashlib
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from pregeom import (ClassParams, GrowthSchedule, NaryStructure, grow, lift,
-                     reduct_of, undefinability_pair)
+                     reduct_of, save_chain, undefinability_pair)
 from pregeom.structfile import serialize
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,3 +97,33 @@ def test_undefinability_pair_with_clique_seed():
     r = reduct_of(plain)
     assert r == reduct_of(related)
     assert frozenset({(0,), (1,), (2,)}) in r.maxcliques
+
+
+def chain_digest(directory: Path) -> str:
+    """sha256 over every file `save_chain` wrote, each as its relative path and bytes."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        h.update(path.relative_to(directory).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+# saved chains (extension bound 3), recorded before the embedding search pruned
+# clique maps; grow picks embeddings by list position, so a search that changed
+# their order or set would change these bytes
+CHAIN_DIGESTS = {
+    ("clique", 2, 1, 60, 1): "7da89f6aec78b206a1cac7eb9d0e8fc4dd624bc238cbd349492fd51b894b4ab2",
+    ("clique", 2, 1, 60, 2): "0487a2a28854ce8222ceaa5137c852f92d8a48e869a1725b4d0ff168494a1ea5",
+    ("clique", 2, 1, 60, 3): "64645e5c23daf540b43da7290179e8a1631e8d0b52cadc916181f96d796bd854",
+    ("nary", 3, 1, 40, 1): "741b8c9fe48999b11896e4ac4df6018bf28c0fa445db31c5cddbdea598ff61bc",
+    ("nary", 3, 1, 40, 2): "cfbbd8ead3559c3fde2ec3453b2f34d64fe62dfa2174bef8e60ccac4276a1f83",
+    ("nary", 3, 1, 40, 3): "3cdf3c10301839518f8c46218ae055716b9491d0111032c6661b3327d02ab7ed",
+}
+
+
+@pytest.mark.parametrize("kind,n,r,size,seed", sorted(CHAIN_DIGESTS),
+                         ids=lambda v: str(v))
+def test_grown_chain_bytes_pinned(tmp_path, kind, n, r, size, seed):
+    chain = grow(GrowthSchedule(kind, ClassParams(n, r), size, 3, seed))
+    save_chain(chain, tmp_path)
+    assert chain_digest(tmp_path) == CHAIN_DIGESTS[kind, n, r, size, seed]

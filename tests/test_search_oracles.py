@@ -10,6 +10,8 @@ import itertools
 import random
 from pathlib import Path
 
+import pytest
+
 from pregeom import oracles
 from pregeom import (CliqueStructure, ClassParams, NaryStructure, embeddings,
                      in_class, induced, pg_isomorphic, pregeometry_of,
@@ -18,17 +20,41 @@ from pregeom.gen import random_clique, random_nary, random_nary_in_class
 
 P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)
+P32 = ClassParams(3, 2)
 
 
-def brute_embeddings(pattern, target):
-    """All induced embeddings, by checking every injection."""
-    src = pattern.sorted_universe()
+def brute_embeddings(pattern, target, fixed=None):
+    """All induced embeddings extending `fixed`, by checking every injection.
+
+    They come in the search's order: the free pattern elements (for tuple
+    structures, those in the most tuples first) take target elements
+    lexicographically, each in increasing order.
+    """
+    fixed = fixed or {}
+    free = [e for e in pattern.sorted_universe() if e not in fixed]
+    if isinstance(pattern, NaryStructure):
+        free.sort(key=lambda e: (-sum(e in t for t in pattern.relation), e))
+    spare = [w for w in target.sorted_universe() if w not in fixed.values()]
     out = []
-    for image in itertools.permutations(target.sorted_universe(), len(src)):
-        mapping = dict(zip(src, image))
-        if induced(target, image) == relabel(pattern, mapping):
+    for image in itertools.permutations(spare, len(free)):
+        mapping = {**fixed, **dict(zip(free, image))}
+        if induced(target, mapping.values()) == relabel(pattern, mapping):
             out.append(tuple(sorted(mapping.items())))
-    return sorted(out)
+    return out
+
+
+def search(pattern, target, **kw):
+    return [emb.pairs for emb in embeddings(pattern, target, **kw)]
+
+
+KINDS = pytest.mark.parametrize("kind,params", [("nary", P31), ("clique", P21), ("clique", P32)],
+                                ids=["nary-3-1", "clique-2-1", "clique-3-2"])
+
+
+def random_structure(rng, kind, params, size):
+    if kind == "clique":
+        return random_clique(rng, params, size, min_size=size)
+    return random_nary(rng, params, size, min_size=size, max_relations=4)
 
 
 def test_embedding_search_complete_nary():
@@ -40,27 +66,93 @@ def test_embedding_search_complete_nary():
         sub = rng.sample(target.sorted_universe(), size)
         pattern = relabel(induced(target, sub),
                           {e: i for i, e in enumerate(sorted(sub))})
-        got = sorted(emb.pairs for emb in embeddings(pattern, target))
         expect = brute_embeddings(pattern, target)
-        assert got == expect
+        assert search(pattern, target) == expect
         nonempty += bool(expect)
     assert nonempty >= 20
 
 
 def test_embedding_search_complete_clique():
     rng = random.Random(62)
+    for params in (P21, P32):
+        nonempty = 0
+        for _ in range(30):
+            target = random_clique(rng, params, 6)
+            size = rng.randint(0, min(3, len(target.universe)))
+            sub = rng.sample(target.sorted_universe(), size)
+            pattern = relabel(induced(target, sub),
+                              {e: i for i, e in enumerate(sorted(sub))})
+            expect = brute_embeddings(pattern, target)
+            assert search(pattern, target) == expect
+            nonempty += bool(expect)
+        assert nonempty >= 15
+
+
+def _extension(rng, target, base):
+    """A pattern holding `base` pointwise: the target induced on base plus a few
+    other elements, relabelled off the target's ids; or, at random, with one
+    relation or clique taken away, so that it may no longer embed."""
+    others = rng.sample(sorted(target.universe - base), rng.randint(1, 2))
+    pattern = relabel(induced(target, base | set(others)),
+                      {**{e: e for e in base}, **{e: 100 + i for i, e in enumerate(others)}})
+    if rng.random() < 0.3:
+        if isinstance(pattern, NaryStructure) and pattern.relation:
+            return NaryStructure(pattern.params, pattern.universe,
+                                 pattern.relation - {min(pattern.relation)})
+        if isinstance(pattern, CliqueStructure) and pattern.maxcliques:
+            drop = min(pattern.maxcliques, key=sorted)
+            return CliqueStructure(pattern.params, pattern.universe, pattern.maxcliques - {drop})
+    return pattern
+
+
+@KINDS
+def test_embedding_search_order_with_fixed_base(kind, params):
+    # the call shape of genericity_check: an extension of a base, the base pinned
+    rng = random.Random(64)
     nonempty = 0
     for _ in range(30):
-        target = random_clique(rng, P21, 6)
-        size = rng.randint(0, min(3, len(target.universe)))
-        sub = rng.sample(target.sorted_universe(), size)
-        pattern = relabel(induced(target, sub),
-                          {e: i for i, e in enumerate(sorted(sub))})
-        got = sorted(emb.pairs for emb in embeddings(pattern, target))
-        expect = brute_embeddings(pattern, target)
-        assert got == expect
+        target = random_structure(rng, kind, params, 6)
+        base = frozenset(rng.sample(target.sorted_universe(), rng.randint(0, 3)))
+        pattern = _extension(rng, target, base)
+        fixed = {e: e for e in base}
+        expect = brute_embeddings(pattern, target, fixed)
+        assert search(pattern, target, fixed=fixed) == expect
         nonempty += bool(expect)
-    assert nonempty >= 15
+    assert nonempty >= 10
+
+
+@KINDS
+def test_embedding_search_order_with_arbitrary_pins(kind, params):
+    # pins that need not respect either structure
+    rng = random.Random(65)
+    for _ in range(30):
+        target = random_structure(rng, kind, params, 6)
+        pattern = random_structure(rng, kind, params, rng.randint(0, 4))
+        k = rng.randint(0, len(pattern.universe))
+        fixed = dict(zip(rng.sample(pattern.sorted_universe(), k),
+                         rng.sample(target.sorted_universe(), k)))
+        assert search(pattern, target, fixed=fixed) == brute_embeddings(pattern, target, fixed)
+
+
+@KINDS
+def test_bijective_search_order(kind, params):
+    # the call shape of isomorphic_over: equal sizes, a common set pinned
+    rng = random.Random(66)
+    found = 0
+    for _ in range(30):
+        a = random_structure(rng, kind, params, 6)
+        common = frozenset(rng.sample(a.sorted_universe(), rng.randint(0, 2)))
+        if rng.random() < 0.7:
+            rest = sorted(a.universe - common)
+            shuffled = rng.sample(rest, len(rest))
+            b = relabel(a, {**{e: e for e in common}, **dict(zip(rest, shuffled))})
+        else:
+            b = random_structure(rng, kind, params, len(a.universe))
+        fixed = {e: e for e in common}
+        expect = brute_embeddings(a, b, fixed)
+        assert search(a, b, fixed=fixed, bijective=True) == expect
+        found += bool(expect)
+    assert found >= 15
 
 
 def test_embedding_search_no_false_positives():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from pregeom import (CliqueStructure, ClassParams, DomainError, NaryStructure,
-                     canonical_key, extend_clique, induced_clique,
+                     canonical_key, embeddings, extend_clique, induced_clique,
                      induced_nary, isomorphic_over, relabel, validate_clique,
                      validate_nary, verify_embedding)
 
@@ -166,6 +166,22 @@ class TestIsomorphicOver:
         b = clq([0, 1, 2], [[(0,), (1,), (2,)]])
         emb = isomorphic_over(a, b, ())
         assert emb is not None and verify_embedding(emb)
+
+
+class TestLargeInputs:
+    # the search keeps its own stack, so its depth is not bounded by Python's
+    # recursion limit (about 1000 frames)
+    @pytest.mark.parametrize("a", [nary(range(1500), []), clq(range(1500), [])],
+                             ids=["nary", "clique"])
+    def test_embedding_of_1500_elements(self, a):
+        (emb,) = embeddings(a, a, limit=1)
+        assert emb.pairs == tuple((e, e) for e in range(1500))
+
+    @pytest.mark.parametrize("a", [nary(range(1500), []), clq(range(1500), [])],
+                             ids=["nary", "clique"])
+    def test_isomorphism_of_1500_elements(self, a):
+        emb = isomorphic_over(a, a, ())
+        assert emb is not None and emb.pairs == tuple((e, e) for e in range(1500))
 
 
 class TestCanonicalKey:
