@@ -18,7 +18,7 @@ from .errors import DomainError, FormatError
 from .generic import GrowthSchedule, grow, save_chain
 from .geometry import (back_and_forth, clique_to_nary, nary_to_clique,
                        remove_pathologies)
-from .predimension import check_strong, predim_rel
+from .predimension import check_strong, in_class, predim_rel
 from .pregeometry import closure, pg_isomorphic, pregeometry_of, rank
 from .reduct import lift, reduct_of, reduct_within, undefinability_pair
 from .structures import ClassParams, validate
@@ -76,10 +76,10 @@ def cmd_strong(args) -> int:
 
 def cmd_class(args) -> int:
     a = structfile.load(args.file)
-    ok, witness = check_strong(a, frozenset())
-    if ok:
+    if in_class(a):
         print("in class")
         return 0
+    witness = check_strong(a, frozenset())[1]
     ids = ",".join(str(e) for e in witness.violating)
     print(f"not in class: witness={ids} predim={witness.relative_value}")
     return 1

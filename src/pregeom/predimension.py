@@ -2,8 +2,14 @@
 
 Tuple structures: predim = |A| - |R^A|.  Clique structures: predim =
 |A| - sum over maximal cliques of max(0, |K| - (s - 1)).  All arithmetic is
-exact integers.  Both functions are submodular on valid inputs, and the
-subset searches below rely on that in two ways:
+exact integers.
+
+Class membership (the empty set is self-sufficient) is decided by one
+max-flow, `_class_flow`, in time polynomial in the size of the structure.
+The remaining searches (self-sufficiency of a base, the dimension, the
+closure and the strong hull) run the branch-and-bound `_min_over`.  The two
+predimension functions are submodular on valid inputs, and the branch-and-bound
+relies on that in two ways:
 
   * contraction: an element whose marginal w.r.t. the current upper set is
     non-negative can be discarded from every minimiser (its marginal only
@@ -21,8 +27,8 @@ and a strong S >= B, so H lies inside every strong superset of B; and
 predim(V ∩ H) <= predim(V) + predim(H) - predim(V ∪ H) <= predim(V), so every
 minimum-size violator V of a non-strong B lies inside H.
 
-The branch-and-bound is required to agree bit-exactly with plain
-enumeration; the test suite carries the naive oracle.
+The max-flow and the branch-and-bound are required to agree bit-exactly
+with plain enumeration; the test suite carries the naive oracle.
 """
 
 from __future__ import annotations
@@ -114,15 +120,70 @@ class _Evaluator:
         return size - total
 
     def in_class(self) -> bool:
-        """Whether the empty set is self-sufficient; searched once per evaluator."""
+        """Whether the empty set is self-sufficient; decided once per evaluator."""
         if self.verdict is None:
-            self.verdict = _min_over(self, 0)[0] >= 0
+            self.verdict = _class_flow(self)
         return self.verdict
 
 
 @lru_cache(maxsize=2048)
 def _evaluator(struct: Structure) -> _Evaluator:
     return _Evaluator(struct)
+
+
+def _class_flow(ev: _Evaluator) -> bool:
+    """Class membership by one max-flow on Picard's closure network.
+
+    Every member (a relation tuple, or one member tuple of one maxclique)
+    carries one unit.  It may place it on one of its own elements, each
+    taking one unit, or, in the clique class, on its own maxclique, which
+    takes s − 1.  The structure is in class exactly when every unit is
+    placed: a set M of members whose elements and cliques can take fewer
+    than |M| units gives predim(X) < 0 for the elements X of M, and the
+    members inside a violator X of the cliques that count in X are such an
+    M.  For tuples this is Hall's condition.  Members are placed one at a
+    time, each by a breadth-first augmenting-path search; when one finds no
+    path, no placement of all units exists.
+    """
+    n = ev.nbits
+    if ev.rel_masks is not None:
+        slots = [[ev.index[e] for e in ev.unmask(tm)] for tm in ev.rel_masks]
+        cap = [1] * n
+    else:
+        slots = [[ev.index[e] for e in ev.unmask(tm)] + [n + k]
+                 for k, kmasks in enumerate(ev.cliques) for tm in kmasks]
+        cap = [1] * n + [ev.s - 1] * len(ev.cliques)
+    holders = [[] for _ in cap]  # the units placed on each slot
+    placed = [None] * len(slots)  # the slot each unit sits on
+    for unit in range(len(slots)):
+        # a placed unit is queued only through its own slot, and each slot is reached once
+        reached = {}  # slot -> the unit whose search reached it
+        queue = [unit]
+        free = None
+        i = 0
+        while free is None and i < len(queue):
+            x = queue[i]
+            i += 1
+            for v in slots[x]:
+                if v in reached:
+                    continue
+                reached[v] = x
+                if len(holders[v]) < cap[v]:
+                    free = v
+                    break
+                queue.extend(holders[v])
+        if free is None:
+            return False
+        v = free
+        while v is not None:  # move each unit on the path to the slot after it
+            x = reached[v]
+            old = placed[x]
+            placed[x] = v
+            holders[v].append(x)
+            if old is not None:
+                holders[old].remove(x)
+            v = old
+    return True
 
 
 def _contract(value, top: int, base: int) -> int:

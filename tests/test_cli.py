@@ -82,9 +82,16 @@ def test_strong_exit_codes(files):
 
 def test_class_exit_codes(files):
     _, _, five, bad, _ = files
-    assert run(["class", five])[0] == 0
-    code, out = run(["class", bad])
-    assert code == 1 and "not in class" in out
+    assert run(["class", five]) == (0, "in class\n")
+    assert run(["class", bad]) == (1, "not in class: witness=0,1,2 predim=-1\n")
+
+
+def test_class_on_1500_element_path(tmp_path):
+    p = tmp_path / "path.txt"
+    lines = ["kind nary", "params n=3 r=1", "universe " + " ".join(map(str, range(1500)))]
+    lines += [f"rel {i} {i + 1} {i + 2}" for i in range(1498)]
+    p.write_text("\n".join(lines + ["end", ""]))
+    assert run(["class", str(p)]) == (0, "in class\n")
 
 
 def test_closure_and_rank(files):

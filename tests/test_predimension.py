@@ -1,16 +1,21 @@
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+from pregeom import predimension
 from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
                      NaryStructure, check_strong, clique_weight, grow,
                      in_class, induced, is_strong, min_predim_over, predim,
                      predim_rel, rank, strong_hull)
+from pregeom.generic import enumerate_structures
 from pregeom.gen import (random_clique, random_clique_in_class, random_nary,
                          random_nary_in_class, random_subset)
 from pregeom.oracles import (naive_is_strong, naive_min_over, naive_predim,
                              naive_strong_hull, naive_strong_witness, subsets)
+from pregeom.structures import validate
 
 P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)
@@ -266,3 +271,126 @@ class TestStrongHull:
                 not_strong += 1
                 assert set(witness.violating) <= hull
         assert not_strong >= 3
+
+
+def _load_bench_oracle():
+    # the benchmark's own Hall-matching oracle, imported by path; it imports nothing from pregeom
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_ORACLE = _load_bench_oracle()
+
+
+def bench_in_class(a):
+    rel = a.relation if isinstance(a, NaryStructure) else a.maxcliques
+    plain = BENCH_ORACLE.make(a.kind, a.params.n, a.params.r, a.universe, rel)
+    return BENCH_ORACLE.in_class(plain)
+
+
+def search_in_class(a):
+    ev = predimension._Evaluator(a)
+    return predimension._min_over(ev, 0)[0] >= 0
+
+
+def pushed_out_of_class(a, rng):
+    """Copies of `a`, each with one more tuple or clique member, until one is out of class.
+
+    Tuples go into one window of n + 1 elements, so that few are needed.
+    """
+    elems = a.sorted_universe()
+    copies = []
+    if len(elems) <= a.params.n or isinstance(a, CliqueStructure) and not a.maxcliques:
+        return copies
+    window = rng.sample(elems, a.params.n + 1)
+    for _ in range(200):
+        if isinstance(a, NaryStructure):
+            b = NaryStructure(a.params, a.universe,
+                              a.relation | {tuple(rng.sample(window, a.params.n))})
+        else:
+            k = rng.choice(sorted(a.maxcliques, key=sorted))
+            member = tuple(rng.sample(elems, a.params.r))
+            b = CliqueStructure(a.params, a.universe, (a.maxcliques - {k}) | {k | {member}})
+        if b == a or validate(b):
+            continue
+        copies.append(b)
+        a = b
+        if not in_class(b):
+            break
+    return copies
+
+
+class TestClassVerdict:
+    """`in_class` decides membership by max-flow; the references search or enumerate subsets."""
+
+    @pytest.mark.parametrize("kind, params, max_size", [
+        ("nary", P31, 4), ("nary", P42, 3), ("nary", P32, 4),
+        ("clique", P21, 4), ("clique", ClassParams(3, 1), 4), ("clique", P32, 3)],
+        ids=["nary-3-1", "nary-4-2", "nary-3-2", "clique-2-1", "clique-3-1", "clique-3-2"])
+    def test_every_small_structure(self, kind, params, max_size):
+        # tuple enumerations cap |R| at |U|, so the search, not a count, refutes them
+        for size in range(max_size + 1):
+            for a in enumerate_structures(kind, params, size, in_class_only=False):
+                assert in_class(a) == (naive_min_over(a, ()) >= 0)
+
+    @pytest.mark.parametrize("kind, params, target", [
+        ("nary", P31, 40), ("clique", P21, 40), ("clique", P32, 28)],
+        ids=["nary-3-1-to40", "clique-2-1-to40", "clique-3-2-to28"])
+    def test_grown_stages_and_pushed_copies(self, kind, params, target):
+        chain = grow(GrowthSchedule(kind, params, target, 3, 1))
+        rng = random.Random(target)
+        checked = out = refuted = 0
+        for stage in chain.stages:
+            copies = (stage, *pushed_out_of_class(stage, rng))
+            # the subset search takes about a second per tuple copy above 30 elements
+            searched = copies if len(stage.universe) <= 28 else (copies[0], copies[-1])
+            for b in copies:
+                verdict = in_class(b)
+                if b in searched:
+                    assert verdict == search_in_class(b)
+                if params.r == 1 or kind == "nary":
+                    assert verdict == bench_in_class(b)
+                checked += 1
+                out += not verdict
+                refuted += not verdict and predim(b) >= 0
+        assert out >= len(chain.stages) // 2 and refuted > 0
+        assert checked > 2 * len(chain.stages)
+
+
+class TestClassVerdictAtScale:
+    """1500-element inputs, where the subset search's contraction is quadratic per round."""
+
+    @staticmethod
+    def counted_searches(monkeypatch):
+        calls = []
+        inner = predimension._min_over
+
+        def counted(ev, base, tilt=0):
+            calls.append(tilt)
+            return inner(ev, base, tilt)
+
+        monkeypatch.setattr(predimension, "_min_over", counted)
+        return calls
+
+    def test_tuple_path(self, monkeypatch):
+        calls = self.counted_searches(monkeypatch)
+        path = [(i, i + 1, i + 2) for i in range(1498)]
+        assert in_class(NaryStructure.of(P31, range(1500), path))
+        # drop the last tuple and crowd four tuples onto {750, 751, 752}
+        crowded = path[:-1] + [(750, 752, 751), (751, 750, 752), (752, 751, 750)]
+        b = NaryStructure.of(P31, range(1500), crowded)
+        assert len(b.relation) <= len(b.universe) and not in_class(b)
+        assert calls == []
+
+    def test_clique_chain(self, monkeypatch):
+        calls = self.counted_searches(monkeypatch)
+        chain = [[(2 * i,), (2 * i + 1,), (2 * i + 2,)] for i in range(749)]
+        assert in_class(CliqueStructure.of(P21, range(1500), chain))
+        # drop three links and put the six pair cliques of {100, 200, 300, 400} in their place
+        pairs = [[(x,), (y,)] for x, y in itertools.combinations((100, 200, 300, 400), 2)]
+        b = CliqueStructure.of(P21, range(1500), chain[:-3] + pairs)
+        assert predim(b) >= 0 and not in_class(b)
+        assert calls == []

@@ -222,9 +222,10 @@ def test_oracle_module_imports_only_structures():
 
 
 def test_superset_minimum_search_stays_in_predimension():
-    # rank, closure and the class verdict reach the search through
-    # min_predim_over, largest_minimiser and in_class, so the search has one owner
-    private = {"_min_over", "_contract"}
+    # rank and closure reach the search through min_predim_over and
+    # largest_minimiser, and the class verdict reaches the max-flow through
+    # in_class, so each has one owner
+    private = {"_min_over", "_contract", "_class_flow"}
     named = {}
     for path in sorted(Path(oracles.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -234,4 +235,4 @@ def test_superset_minimum_search_stays_in_predimension():
                      else [])
             if private & set(names):
                 named.setdefault(path.name, set()).update(private & set(names))
-    assert set(named) == {"predimension.py"}
+    assert named == {"predimension.py": private}
