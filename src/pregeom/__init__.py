@@ -6,7 +6,7 @@ clique reduct, and the rank-preserving constructions between the two classes.
 All arithmetic is exact integers.
 """
 
-from .amalgam import AmalgamResult, free_amalgam, standard_amalgam
+from .amalgam import free_amalgam, standard_amalgam
 from .errors import DomainError, FormatError
 from .generic import (Chain, GrowthSchedule, enumerate_extension_pairs,
                       enumerate_structures, genericity_check, grow,
@@ -23,8 +23,8 @@ from .reduct import (ReductCertificate, clique_certificate, lift, reduct_of,
                      reduct_within, undefinability_pair, witness_hull)
 from .reports import GadgetEntry, GadgetReport
 from .structures import (CliqueStructure, ClassParams, Embedding,
-                         NaryStructure, canonical_key, embeddings,
-                         extend_clique, induced, induced_clique, induced_nary,
+                         NaryStructure, canonical_key, extend_clique,
+                         induced, induced_clique, induced_nary,
                          isomorphic_over, iter_embeddings, relabel, validate,
                          validate_clique, validate_nary, verify_embedding)
 

@@ -383,7 +383,7 @@ def criterion_09_standard_amalgam_identity(level: str):
                 if induced(a1, base) != induced(a2, base):
                     continue
                 try:
-                    d = standard_amalgam(a1, a2, base).amalgam
+                    d = standard_amalgam(a1, a2, base)
                 except DomainError:
                     continue
                 lhs = predim_rel(d, d.universe, a1.universe)

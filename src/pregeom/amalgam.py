@@ -1,25 +1,19 @@
 """Free amalgamation of tuple structures and the standard amalgam of clique structures.
 
 Callers must pre-rename universes so the factors intersect exactly in the
-shared base; the operations never rename silently.  Joint embedding is the
-special case of an empty base.
+shared base; the operations never rename silently.  Each factor then embeds
+into the amalgam by inclusion, so the amalgam structure is the whole result:
+it restricts to each factor on that factor's universe.  Joint embedding is
+the special case of an empty base.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
-from .structures import (CliqueStructure, Embedding, NaryStructure, Structure,
-                         induced, validate)
-
-
-@dataclass(frozen=True)
-class AmalgamResult:
-    amalgam: Structure
-    left: Embedding
-    right: Embedding
+from .structures import (CliqueStructure, NaryStructure, Structure, induced,
+                         validate)
 
 
 def _check_factors(a1: Structure, a2: Structure, base: frozenset[int]) -> None:
@@ -36,13 +30,7 @@ def _check_factors(a1: Structure, a2: Structure, base: frozenset[int]) -> None:
         raise DomainError("factors disagree on the shared base")
 
 
-def _identity_embeddings(a1: Structure, a2: Structure, d: Structure) -> AmalgamResult:
-    left = Embedding.of(a1, d, {e: e for e in a1.universe})
-    right = Embedding.of(a2, d, {e: e for e in a2.universe})
-    return AmalgamResult(d, left, right)
-
-
-def free_amalgam(a1: NaryStructure, a2: NaryStructure, base: Iterable[int]) -> AmalgamResult:
+def free_amalgam(a1: NaryStructure, a2: NaryStructure, base: Iterable[int]) -> NaryStructure:
     """Union of universes and relations; no new tuples."""
     b = frozenset(base)
     _check_factors(a1, a2, b)
@@ -50,10 +38,10 @@ def free_amalgam(a1: NaryStructure, a2: NaryStructure, base: Iterable[int]) -> A
     for factor in (a1, a2):
         if induced(d, factor.universe) != factor:
             raise AssertionError("free amalgam does not restrict to its factor")
-    return _identity_embeddings(a1, a2, d)
+    return d
 
 
-def standard_amalgam(a1: CliqueStructure, a2: CliqueStructure, base: Iterable[int]) -> AmalgamResult:
+def standard_amalgam(a1: CliqueStructure, a2: CliqueStructure, base: Iterable[int]) -> CliqueStructure:
     """Merge factor cliques sharing at least s members; keep the rest separate.
 
     The result is validated; a violation of the intersection bound signals an
@@ -79,10 +67,10 @@ def standard_amalgam(a1: CliqueStructure, a2: CliqueStructure, base: Iterable[in
     for factor in (a1, a2):
         if induced(d, factor.universe) != factor:
             raise AssertionError("standard amalgam does not restrict to its factor")
-    return _identity_embeddings(a1, a2, d)
+    return d
 
 
-def amalgam(a1: Structure, a2: Structure, base: Iterable[int]) -> AmalgamResult:
+def amalgam(a1: Structure, a2: Structure, base: Iterable[int]) -> Structure:
     if isinstance(a1, NaryStructure):
         return free_amalgam(a1, a2, base)
     return standard_amalgam(a1, a2, base)

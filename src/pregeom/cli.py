@@ -112,12 +112,12 @@ def cmd_amalgam(args) -> int:
     a2 = structfile.load(args.right)
     base = _ids(args.over)
     if args.kind == "free":
-        res = free_amalgam(_require_kind(a1, "nary", "left factor"),
-                           _require_kind(a2, "nary", "right factor"), base)
+        d = free_amalgam(_require_kind(a1, "nary", "left factor"),
+                         _require_kind(a2, "nary", "right factor"), base)
     else:
-        res = standard_amalgam(_require_kind(a1, "clique", "left factor"),
-                               _require_kind(a2, "clique", "right factor"), base)
-    structfile.save(res.amalgam, args.out)
+        d = standard_amalgam(_require_kind(a1, "clique", "left factor"),
+                             _require_kind(a2, "clique", "right factor"), base)
+    structfile.save(d, args.out)
     print(f"wrote {args.out}")
     return 0
 

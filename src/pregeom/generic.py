@@ -37,16 +37,6 @@ def empty_structure(kind: str, params: ClassParams) -> Structure:
     raise DomainError(f"unknown structure kind {kind!r}")
 
 
-def structure_from_key(key) -> Structure:
-    """Rebuild the canonical representative encoded by a subset-free canonical_key."""
-    kind, n, r, m, enc = key
-    params = ClassParams(n, r)
-    universe = frozenset(range(m))
-    if kind == "nary":
-        return NaryStructure(params, universe, frozenset(enc))
-    return CliqueStructure(params, universe, frozenset(frozenset(k) for k in enc))
-
-
 def _count_guard(total: int, what: str) -> None:
     if total > _ENUMERATION_GUARD:
         raise DomainError(f"enumeration of {what} would visit about {total} candidates; "
@@ -107,14 +97,14 @@ def _orbit_types(size: int, pool: list, move, candidates: Iterable[tuple[int, ..
 
 
 @lru_cache(maxsize=64)
-def _nary_types(params: ClassParams, size: int, max_relations: Optional[int],
-                in_class_only: bool, up_to_iso: bool):
+def _nary_types(params: ClassParams, size: int, in_class_only: bool, up_to_iso: bool):
     universe = frozenset(range(size))
     pool = sorted(itertools.permutations(range(size), params.n)) if size >= params.n else []
-    budget = size if max_relations is None else max_relations
-    total = sum(comb(len(pool), k) for k in range(min(budget, len(pool)) + 1))
+    # an in-class structure holds at most |universe| tuples
+    budget = min(size, len(pool))
+    total = sum(comb(len(pool), k) for k in range(budget + 1))
     _count_guard(total, "tuple structures")
-    candidates = (rel for k in range(min(budget, len(pool)) + 1)
+    candidates = (rel for k in range(budget + 1)
                   for rel in itertools.combinations(range(len(pool)), k))
 
     def build(rel: tuple[int, ...]) -> NaryStructure:
@@ -124,18 +114,17 @@ def _nary_types(params: ClassParams, size: int, max_relations: Optional[int],
 
 
 def enumerate_nary_structures(params: ClassParams, size: int,
-                              max_relations: Optional[int] = None,
                               in_class_only: bool = True,
                               up_to_iso: bool = True) -> tuple[NaryStructure, ...]:
-    """All tuple structures on universe {0..size-1}, optionally in class and up to isomorphism.
+    """All tuple structures on universe {0..size-1} with at most `size` tuples,
+    optionally in class and up to isomorphism.
 
-    `max_relations` caps |R| (defaults to `size`, the in-class bound on the
-    full universe), keeping the enumeration finite-friendly.  Representatives
-    are canonical (`structure_from_key(canonical_key(a)) == a`) and come in
-    `canonical_key` order.
+    `size` tuples is the in-class bound on the full universe, and it keeps
+    the enumeration finite-friendly without the class filter too.
+    Representatives are canonical (`structure_from_key(canonical_key(a)) == a`)
+    and come in `canonical_key` order.
     """
-    return tuple(a for a, _ in _nary_types(params, size, max_relations,
-                                           in_class_only, up_to_iso))
+    return tuple(a for a, _ in _nary_types(params, size, in_class_only, up_to_iso))
 
 
 def _compatible(k1: frozenset, k2: frozenset, s: int) -> bool:
@@ -190,7 +179,7 @@ def enumerate_clique_structures(params: ClassParams, size: int,
 def _types(kind: str, params: ClassParams, size: int,
            in_class_only: bool = True, up_to_iso: bool = True):
     if kind == "nary":
-        return _nary_types(params, size, None, in_class_only, up_to_iso)
+        return _nary_types(params, size, in_class_only, up_to_iso)
     if kind == "clique":
         return _clique_types(params, size, in_class_only, up_to_iso)
     raise DomainError(f"unknown structure kind {kind!r}")
@@ -311,8 +300,7 @@ def grow(schedule: GrowthSchedule) -> Chain:
                 mapping[e] = next(fresh)
             extension = relabel(pt.pattern, mapping)
             previous = stage
-            result = amalgam(stage, extension, pick.image)
-            stage = result.amalgam
+            stage = amalgam(stage, extension, pick.image)
             step += 1
             if not in_class(stage):
                 raise AssertionError("growth produced a stage outside its class")
@@ -426,7 +414,9 @@ def _parse_log_line(ln: str) -> tuple[int, tuple[int, ...], str, dict[int, int]]
 def load_chain(directory: Union[str, Path]) -> Chain:
     """Reload a chain and re-validate it by replaying the log from the empty structure.
 
-    A chain file that does not parse raises FormatError.
+    A chain file that does not parse, or whose log lines are not steps
+    1, 2, ..., k in order (the numbering save_chain writes), raises
+    FormatError.
     """
     root = Path(directory)
     lines = structfile.read_text(root / "chain.txt").splitlines()
@@ -443,11 +433,12 @@ def load_chain(directory: Union[str, Path]) -> Chain:
         if not ln or ln.startswith("#"):
             continue
         step, base_ids, b_file, mapping = _parse_log_line(ln)
+        if step != len(log) + 1:
+            raise FormatError(f"chain log line {ln!r} is step {step}, expected step {len(log) + 1}")
         pattern = structfile.load(root / b_file)
         base = frozenset(base_ids)
         extension = relabel(pattern, mapping)
-        result = amalgam(stage, extension, base)
-        stage = result.amalgam
+        stage = amalgam(stage, extension, base)
         if not in_class(stage):
             raise DomainError(f"replayed stage after step {step} is outside its class")
         stages.append(stage)

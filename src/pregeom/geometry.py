@@ -15,13 +15,12 @@ from typing import Optional
 
 from .amalgam import free_amalgam, standard_amalgam
 from .errors import DomainError
-from .generic import structure_from_key
 from .predimension import in_class, is_strong, min_predim_over, predim_rel
 from .pregeometry import max_ground_cap, same_pregeometry
 from .reports import GadgetEntry, GadgetReport, fmt_clique, fmt_tuple
 from .structures import (CliqueStructure, ClassParams, NaryStructure, RTuple,
                          Structure, canonical_key, induced, induced_clique,
-                         induced_nary, relabel, validate)
+                         induced_nary, relabel, structure_from_key, validate)
 
 _SWEEP_LIMIT = 12
 
@@ -439,10 +438,10 @@ def back_and_forth(stage1: NaryStructure, stage2: CliqueStructure,
         renamed = relabel(pattern, {e: fresh_from + j
                                     for j, e in enumerate(pattern.sorted_universe())})
         if forward:
-            b = free_amalgam(n_work, renamed, frozenset()).amalgam
+            b = free_amalgam(n_work, renamed, frozenset())
             n_work, q_work, report = nary_to_clique(n_work, q_work, b)
         else:
-            b_c = standard_amalgam(q_work, renamed, frozenset()).amalgam
+            b_c = standard_amalgam(q_work, renamed, frozenset())
             b_rs, report = clique_to_nary(q_work, n_work, b_c)
             n_work, q_work = b_rs, b_c
         if not same_pregeometry(n_work, q_work):

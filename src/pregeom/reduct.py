@@ -156,13 +156,14 @@ def clique_certificate(m: NaryStructure, members: Sequence[RTuple]) -> Optional[
     return _certificate_search(m, members, _member_index(_prefix_map(m)))
 
 
-def _all_cliques(m: NaryStructure) -> set[frozenset[RTuple]]:
-    """Every related family closed under the subfamily condition, found bottom-up."""
+def _all_cliques(m: NaryStructure) -> dict[frozenset[RTuple], RTuple]:
+    """Every related family closed under the subfamily condition, found
+    bottom-up, mapped to the witness its certificate search found."""
     s = m.params.s
     prefixes = _prefix_map(m)
     index = _member_index(prefixes)
-    found: set[frozenset[RTuple]] = set()
-    level: set[frozenset[RTuple]] = set()
+    found: dict[frozenset[RTuple], RTuple] = {}
+    level: dict[frozenset[RTuple], RTuple] = {}
     for fam in prefixes.values():
         if len(fam) < s:
             continue
@@ -170,11 +171,12 @@ def _all_cliques(m: NaryStructure) -> set[frozenset[RTuple]]:
             key = frozenset(combo)
             if key in level:
                 continue
-            if _certificate_search(m, combo, index) is not None:
-                level.add(key)
-    found |= level
+            cert = _certificate_search(m, combo, index)
+            if cert is not None:
+                level[key] = cert.witness
+    found.update(level)
     while level:
-        nxt: set[frozenset[RTuple]] = set()
+        nxt: dict[frozenset[RTuple], RTuple] = {}
         for k in level:
             extensions = set()
             for p in _shared_prefixes(index, k):
@@ -185,20 +187,25 @@ def _all_cliques(m: NaryStructure) -> set[frozenset[RTuple]]:
                     continue
                 if any(k2 - {x} not in found for x in k2):
                     continue
-                if _certificate_search(m, sorted(k2), index) is not None:
-                    nxt.add(k2)
-        found |= nxt
+                cert = _certificate_search(m, sorted(k2), index)
+                if cert is not None:
+                    nxt[k2] = cert.witness
+        found.update(nxt)
         level = nxt
     return found
+
+
+def _maximal_witnesses(m: NaryStructure) -> dict[frozenset[RTuple], RTuple]:
+    """The maximal cliques of the reduct of m, each mapped to its witness."""
+    cliques = _all_cliques(m)
+    return {k: w for k, w in cliques.items() if not any(k < other for other in cliques)}
 
 
 def reduct_of(m: NaryStructure) -> CliqueStructure:
     """The clique structure induced by the defining formulas, on the same universe."""
     _require_nary(m, "the input")
     _evaluator(m)  # validates m
-    cliques = _all_cliques(m)
-    maximal = frozenset(k for k in cliques if not any(k < other for other in cliques))
-    return CliqueStructure(m.params, m.universe, maximal)
+    return CliqueStructure(m.params, m.universe, frozenset(_maximal_witnesses(m)))
 
 
 def reduct_within(m: NaryStructure, subset: Iterable[int]) -> CliqueStructure:
@@ -261,7 +268,8 @@ def lift(a: NaryStructure, b_c: CliqueStructure) -> tuple[NaryStructure, GadgetR
     a_univ = frozenset(a.universe)
     if not a_univ <= b_c.universe:
         raise DomainError("the clique extension does not contain the base universe")
-    a_c = reduct_of(a)
+    witnesses = _maximal_witnesses(a)
+    a_c = CliqueStructure(a.params, a.universe, frozenset(witnesses))
     if induced_clique(b_c, a_univ) != a_c:
         raise DomainError("the clique extension does not induce the reduct on the base universe")
     if not is_strong(b_c, a_univ):
@@ -271,15 +279,13 @@ def lift(a: NaryStructure, b_c: CliqueStructure) -> tuple[NaryStructure, GadgetR
     entries = []
     r0: set[RTuple] = set()
     for k in sorted(a_c.maxcliques, key=lambda k: sorted(k)):
-        cert = clique_certificate(a, sorted(k))
-        if cert is None:
-            raise AssertionError("a maximal clique of the reduct lost its witness")
+        witness = witnesses[k]
         big = extend_clique(b_c, a_univ, k)
-        added = tuple(cert.witness + t for t in sorted(big - k))
+        added = tuple(witness + t for t in sorted(big - k))
         r0.update(added)
         if added:
             entries.append(GadgetEntry(source=fmt_clique(k), added_tuples=added,
-                                       choice="witness=" + fmt_tuple(cert.witness)))
+                                       choice="witness=" + fmt_tuple(witness)))
 
     def smallest_unused(taken: set[int]):
         i = 0

@@ -238,6 +238,16 @@ def canonical_key(a: Structure, subset: Optional[frozenset[int]] = None):
     return (a.kind, a.params.n, a.params.r, m, best)
 
 
+def structure_from_key(key) -> Structure:
+    """Rebuild the canonical representative encoded by a subset-free canonical_key."""
+    kind, n, r, m, enc = key
+    params = ClassParams(n, r)
+    universe = frozenset(range(m))
+    if kind == "nary":
+        return NaryStructure(params, universe, frozenset(enc))
+    return CliqueStructure(params, universe, frozenset(frozenset(k) for k in enc))
+
+
 def verify_embedding(emb: Embedding) -> bool:
     """True iff the map is injective, total on the source, and an induced isomorphism onto its image."""
     mapping = emb.mapping
@@ -278,14 +288,16 @@ def _signatures(a: Structure) -> dict[int, tuple]:
 
 
 def iter_embeddings(pattern: Structure, target: Structure,
-                    fixed: Optional[dict[int, int]] = None,
-                    bijective: bool = False):
+                    fixed: Optional[dict[int, int]] = None):
     """Yield induced embeddings of `pattern` into `target`, in deterministic order.
 
-    `fixed` pins part of the map in advance.  With `bijective`, only full
-    bijections are searched and element signatures prune the candidates.
-    The free pattern elements are mapped depth first, with an explicit stack,
-    each to the target elements in increasing order.  Element indexes are
+    `fixed` pins part of the map in advance.  The free pattern elements are
+    mapped depth first, with an explicit stack, each to the target elements
+    in increasing order.  When pattern and target have equally many
+    elements, every embedding is an isomorphism, and an isomorphism keeps
+    each element's signature (see `_signatures`); so only target elements of
+    the pattern element's signature are tried.  That prunes dead branches
+    only, and the yields and their order stay the same.  Element indexes are
     built once per call, and each new pair is checked only against the
     members that touch it.  For tuple structures those checks decide the
     embedding.  For clique structures they are necessary conditions (mapped
@@ -300,8 +312,6 @@ def iter_embeddings(pattern: Structure, target: Structure,
         if src not in pattern.universe or dst not in target.universe:
             raise DomainError("fixed pairs leave the universes")
     if len(pattern.universe) > len(target.universe):
-        return
-    if bijective and len(pattern.universe) != len(target.universe):
         return
     mapping = dict(fixed)
     inverse = {d: s for s, d in fixed.items()}
@@ -357,7 +367,8 @@ def iter_embeddings(pattern: Structure, target: Structure,
                                    for k in pattern.maxcliques)
             return _maximal_traces(touched, inverse.keys(), s) == relabelled
 
-    if bijective:
+    onto = len(pattern.universe) == len(target.universe)
+    if onto:
         src_sig, tgt_sig = _signatures(pattern), _signatures(target)
     candidates = target.sorted_universe()
     depth, nxt = 0, [0] * len(src_elems)
@@ -375,7 +386,7 @@ def iter_embeddings(pattern: Structure, target: Structure,
         while j < len(candidates):
             w = candidates[j]
             j += 1
-            if w in inverse or (bijective and tgt_sig[w] != src_sig[e]):
+            if w in inverse or (onto and tgt_sig[w] != src_sig[e]):
                 continue
             mapping[e] = w
             inverse[w] = e
@@ -388,16 +399,6 @@ def iter_embeddings(pattern: Structure, target: Structure,
             continue
         nxt[depth] = j
         depth += 1
-
-
-def embeddings(pattern: Structure, target: Structure,
-               fixed: Optional[dict[int, int]] = None,
-               limit: Optional[int] = None,
-               bijective: bool = False) -> list[Embedding]:
-    it = iter_embeddings(pattern, target, fixed=fixed, bijective=bijective)
-    if limit is None:
-        return list(it)
-    return list(itertools.islice(it, limit))
 
 
 def isomorphic_over(a: Structure, b: Structure, fixed: Iterable[int]) -> Optional[Embedding]:
@@ -415,6 +416,4 @@ def isomorphic_over(a: Structure, b: Structure, fixed: Iterable[int]) -> Optiona
         raise DomainError("the induced structures on the fixed set disagree")
     if len(a.universe) != len(b.universe):
         return None
-    for emb in embeddings(a, b, fixed={e: e for e in f}, limit=1, bijective=True):
-        return emb
-    return None
+    return next(iter_embeddings(a, b, fixed={e: e for e in f}), None)

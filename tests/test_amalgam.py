@@ -4,7 +4,7 @@ import pytest
 
 from pregeom import (CliqueStructure, ClassParams, DomainError, NaryStructure,
                      free_amalgam, in_class, induced, is_strong, predim_rel,
-                     relabel, standard_amalgam, verify_embedding)
+                     relabel, standard_amalgam)
 from pregeom.gen import random_clique_in_class, random_nary_in_class
 
 
@@ -32,16 +32,16 @@ class TestFreeAmalgam:
     def test_absorbing(self):
         a1 = NaryStructure.of(P31, [0, 1, 2], [(0, 1, 2)])
         b = induced(a1, {0, 1})
-        res = free_amalgam(a1, b, {0, 1})
-        assert res.amalgam == a1
+        assert free_amalgam(a1, b, {0, 1}) == a1
 
     def test_disjoint_union(self):
         a1 = NaryStructure.of(P31, [0, 1, 2], [(0, 1, 2)])
         a2 = NaryStructure.of(P31, [3, 4, 5], [(3, 4, 5)])
-        res = free_amalgam(a1, a2, set())
-        assert res.amalgam.universe == frozenset(range(6))
-        assert len(res.amalgam.relation) == 2
-        assert verify_embedding(res.left) and verify_embedding(res.right)
+        d = free_amalgam(a1, a2, set())
+        assert d.universe == frozenset(range(6))
+        assert len(d.relation) == 2
+        # each factor embeds by inclusion
+        assert induced(d, a1.universe) == a1 and induced(d, a2.universe) == a2
 
     def test_relative_predim_identity(self):
         rng = random.Random(21)
@@ -52,8 +52,7 @@ class TestFreeAmalgam:
             a2 = NaryStructure(P31, base.universe | (a2.universe - a1.universe),
                                frozenset(t for t in a2.relation
                                          if set(t) <= base.universe | (a2.universe - a1.universe)))
-            res = free_amalgam(a1, a2, base.universe)
-            d = res.amalgam
+            d = free_amalgam(a1, a2, base.universe)
             assert predim_rel(d, d.universe, a1.universe) == predim_rel(d, a2.universe, base.universe)
 
     def test_overlap_outside_base_rejected(self):
@@ -73,20 +72,18 @@ class TestStandardAmalgam:
     def test_absorbing(self):
         a1 = CliqueStructure.of(P21, [0, 1, 2], [[(0,), (1,), (2,)]])
         b = induced(a1, {0, 1})
-        res = standard_amalgam(a1, b, {0, 1})
-        assert res.amalgam == a1
+        assert standard_amalgam(a1, b, {0, 1}) == a1
 
     def test_merging_example(self):
         a1 = CliqueStructure.of(P21, [0, 1, 2], [[(0,), (1,), (2,)]])
         a2 = CliqueStructure.of(P21, [1, 2, 3], [[(1,), (2,), (3,)]])
-        res = standard_amalgam(a1, a2, {1, 2})
-        assert res.amalgam.maxcliques == frozenset({frozenset({(0,), (1,), (2,), (3,)})})
+        d = standard_amalgam(a1, a2, {1, 2})
+        assert d.maxcliques == frozenset({frozenset({(0,), (1,), (2,), (3,)})})
 
     def test_small_traces_stay_separate(self):
         a1 = CliqueStructure.of(P21, [0, 1, 2], [[(0,), (1,)]])
         a2 = CliqueStructure.of(P21, [2, 3, 4], [[(3,), (4,)]])
-        res = standard_amalgam(a1, a2, {2})
-        assert len(res.amalgam.maxcliques) == 2
+        assert len(standard_amalgam(a1, a2, {2}).maxcliques) == 2
 
     def test_observation_predim_identity_exhaustive(self):
         # standard amalgam: relative predim of the amalgam over one factor
@@ -106,10 +103,9 @@ class TestStandardAmalgam:
             if not in_class(a2) or induced(a2, base.universe) != base:
                 continue
             try:
-                res = standard_amalgam(a1, a2, base.universe)
+                d = standard_amalgam(a1, a2, base.universe)
             except DomainError:
                 continue
-            d = res.amalgam
             count += 1
             assert predim_rel(d, d.universe, a1.universe) == predim_rel(d, a2.universe, base.universe)
             assert induced(d, a1.universe) == a1
@@ -135,7 +131,7 @@ class TestStandardAmalgam:
             if not is_strong(a2, base.universe):
                 continue
             try:
-                d = standard_amalgam(a1, a2, base.universe).amalgam
+                d = standard_amalgam(a1, a2, base.universe)
             except DomainError:
                 continue
             hits += 1
@@ -154,7 +150,7 @@ class TestStandardAmalgam:
                 continue
             if not is_strong(a2, base.universe):
                 continue
-            d = free_amalgam(a1, a2, base.universe).amalgam
+            d = free_amalgam(a1, a2, base.universe)
             hits += 1
             assert is_strong(d, a1.universe)
             assert in_class(d)

@@ -16,7 +16,8 @@ from pregeom import (ClassParams, CliqueStructure, DomainError, NaryStructure,
                      canonical_key, in_class, is_strong)
 from pregeom.generic import (_ENUMERATION_GUARD, enumerate_clique_structures,
                              enumerate_extension_pairs, enumerate_nary_structures,
-                             enumerate_structures, structure_from_key)
+                             enumerate_structures)
+from pregeom.structures import structure_from_key
 
 
 def _collect(candidates, in_class_only, up_to_iso):
@@ -37,12 +38,11 @@ def _collect(candidates, in_class_only, up_to_iso):
 
 
 @lru_cache(maxsize=None)
-def reference_nary(params, size, max_relations=None, in_class_only=True, up_to_iso=True):
+def reference_nary(params, size, in_class_only=True, up_to_iso=True):
     universe = frozenset(range(size))
     pool = sorted(itertools.permutations(range(size), params.n)) if size >= params.n else []
-    budget = size if max_relations is None else max_relations
     candidates = (NaryStructure(params, universe, frozenset(rel))
-                  for k in range(min(budget, len(pool)) + 1)
+                  for k in range(min(size, len(pool)) + 1)
                   for rel in itertools.combinations(pool, k))
     return _collect(candidates, in_class_only, up_to_iso)
 
@@ -118,20 +118,12 @@ FLAG_CASES = [("nary", (2, 1), 4), ("nary", (3, 1), 3), ("clique", (2, 1), 4), (
 def test_flags_equal_reference(kind, nr, size, in_class_only, up_to_iso):
     params = ClassParams(*nr)
     if kind == "nary":
-        got = enumerate_nary_structures(params, size, None, in_class_only, up_to_iso)
-        want = reference_nary(params, size, None, in_class_only, up_to_iso)
+        got = enumerate_nary_structures(params, size, in_class_only, up_to_iso)
+        want = reference_nary(params, size, in_class_only, up_to_iso)
     else:
         got = enumerate_clique_structures(params, size, in_class_only, up_to_iso)
         want = reference_clique(params, size, in_class_only, up_to_iso)
     assert got == want
-
-
-@pytest.mark.parametrize("in_class_only", [True, False])
-def test_relation_cap_equals_reference(in_class_only):
-    params = ClassParams(3, 1)
-    for up_to_iso in (True, False):
-        got = enumerate_nary_structures(params, 4, 2, in_class_only, up_to_iso)
-        assert got == reference_nary(params, 4, 2, in_class_only, up_to_iso)
 
 
 def test_guard_count_and_limit():

@@ -6,8 +6,8 @@ from pregeom import (ClassParams, DomainError, FormatError, GrowthSchedule,
                      NaryStructure, canonical_key, genericity_check, grow,
                      in_class, induced, is_strong, load_chain, relabel,
                      save_chain, validate, verify_embedding)
-from pregeom.generic import (enumerate_extension_pairs, enumerate_structures,
-                             structure_from_key)
+from pregeom.generic import enumerate_extension_pairs, enumerate_structures
+from pregeom.structures import structure_from_key
 
 P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)
@@ -168,9 +168,13 @@ class TestChainPersistence:
                                            b"B-file " + outside),
         lambda text, outside: text.replace(b"B-file extensions/ext_0001.txt",
                                            b"B-file extensions/../../outside.txt"),
+        # save_chain numbers the steps 1, 2, 3 and names each file after its step
+        lambda text, outside: text.replace(b"step 2 ", b"step 1 "),
+        lambda text, outside: text.replace(b"step 2 ", b"step # ").replace(
+            b"step 3 ", b"step 2 ").replace(b"step # ", b"step 3 "),
     ], ids=["not-utf8", "step-not-a-number", "bare-step", "map-pair-without-colon",
             "no-seed", "seed-not-a-number", "field-without-value", "bad-params",
-            "absolute-b-file", "b-file-with-dotdot"])
+            "absolute-b-file", "b-file-with-dotdot", "duplicate-step", "steps-out-of-order"])
     def test_malformed_chain_file_is_a_format_error(self, tmp_path, tamper):
         chain = grow(GrowthSchedule("nary", P31, 6, 3, 0))
         save_chain(chain, tmp_path / "c")
