@@ -28,5 +28,21 @@ from .structures import (CliqueStructure, ClassParams, Embedding,
                          isomorphic_over, iter_embeddings, relabel, validate,
                          validate_clique, validate_nary, verify_embedding)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, sorted; the submodules they come from are not exported
+__all__ = [
+    "BackAndForthResult", "Chain", "ClassParams", "CliqueStructure", "DomainError",
+    "Embedding", "FormatError", "GadgetEntry", "GadgetReport", "GrowthSchedule",
+    "NaryStructure", "PartialPgIso", "Pregeometry", "ReductCertificate",
+    "StrongWitness", "back_and_forth", "canonical_key", "check_strong",
+    "clique_certificate", "clique_to_nary", "clique_weight", "closure",
+    "enumerate_extension_pairs", "enumerate_structures", "extend_clique",
+    "free_amalgam", "genericity_check", "grow", "in_class", "induced",
+    "induced_clique", "induced_nary", "is_strong", "isomorphic_over",
+    "iter_embeddings", "lift", "load_chain", "min_predim_over", "nary_to_clique",
+    "pg_isomorphic", "predim", "predim_rel", "pregeometry_of", "rank", "reduct_of",
+    "reduct_within", "relabel", "remove_pathologies", "same_pregeometry",
+    "save_chain", "standard_amalgam", "strong_hull", "undefinability_pair",
+    "validate", "validate_clique", "validate_nary", "verify_embedding",
+    "verify_partial_pg_iso", "witness_hull",
+]
 __version__ = "0.1.0"

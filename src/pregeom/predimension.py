@@ -4,12 +4,13 @@ Tuple structures: predim = |A| - |R^A|.  Clique structures: predim =
 |A| - sum over maximal cliques of max(0, |K| - (s - 1)).  All arithmetic is
 exact integers.
 
-Class membership (the empty set is self-sufficient) is decided by one
-max-flow, `_class_flow`, in time polynomial in the size of the structure.
-The remaining searches (self-sufficiency of a base, the dimension, the
-closure and the strong hull) run the branch-and-bound `_min_over`.  The two
-predimension functions are submodular on valid inputs, and the branch-and-bound
-relies on that in two ways:
+Class membership (the empty set is self-sufficient), the dimension
+min_predim_over(B) and its largest minimiser (the closure of B) come from one
+max-flow, `_placement`, in time polynomial in the size of the structure.
+Self-sufficiency of a base, the strong hull and the strong witness still run
+the branch-and-bound `_min_over`.  The two predimension functions are
+submodular on valid inputs, and the branch-and-bound relies on that in two
+ways:
 
   * contraction: an element whose marginal w.r.t. the current upper set is
     non-negative can be discarded from every minimiser (its marginal only
@@ -18,14 +19,13 @@ relies on that in two ways:
     marginals of the still-free elements, for every S <= X <= T.
 
 Both facts hold for any submodular objective.  Minimisers over [B, U] are
-closed under union and intersection, so there is a least and a largest one,
-the unique argmins of (n+1)·predim(X) ± |X| (n = |U|; one unit of predim
-outweighs any difference in size), which are submodular too.  The largest is
-the closure of B when the structure is in class.  The least, H, is the
-self-sufficient closure of B: predim(X ∩ S) <= predim(X) for a minimiser X
-and a strong S >= B, so H lies inside every strong superset of B; and
-predim(V ∩ H) <= predim(V) + predim(H) - predim(V ∪ H) <= predim(V), so every
-minimum-size violator V of a non-strong B lies inside H.
+closed under union and intersection, so there is a least and a largest one.
+The least is the unique argmin of (n+1)·predim(X) + |X| (n = |U|; one unit
+of predim outweighs any difference in size), which is submodular too.  It,
+H, is the self-sufficient closure of B: predim(X ∩ S) <= predim(X) for a
+minimiser X and a strong S >= B, so H lies inside every strong superset of
+B; and predim(V ∩ H) <= predim(V) + predim(H) - predim(V ∪ H) <= predim(V),
+so every minimum-size violator V of a non-strong B lies inside H.
 
 The max-flow and the branch-and-bound are required to agree bit-exactly
 with plain enumeration; the test suite carries the naive oracle.
@@ -56,7 +56,8 @@ def clique_weight(members, s: int) -> int:
 class _Evaluator:
     """Predimension of induced substructures, evaluated on element bitmasks."""
 
-    __slots__ = ("elems", "index", "nbits", "full", "rel_masks", "cliques", "s", "verdict")
+    __slots__ = ("elems", "index", "nbits", "full", "rel_masks", "cliques", "s", "units",
+                 "verdict")
 
     def __init__(self, struct: Structure):
         report = validate(struct)
@@ -70,12 +71,15 @@ class _Evaluator:
             self.rel_masks = [self._mask_of(t) for t in sorted(struct.relation)]
             self.cliques = None
             self.s = None
+            self.units = [_bits(tm) for tm in self.rel_masks]
         else:
             # distinct member tuples may share a support mask; count tuples, not masks
             self.s = struct.params.s
             self.cliques = [[self._mask_of(t) for t in sorted(k)]
                             for k in sorted(struct.maxcliques, key=lambda k: sorted(k))]
             self.rel_masks = None
+            self.units = [_bits(tm) + [self.nbits + k]
+                          for k, kmasks in enumerate(self.cliques) for tm in kmasks]
         self.verdict = None  # class membership, filled by in_class()
 
     def _mask_of(self, t) -> int:
@@ -93,12 +97,7 @@ class _Evaluator:
         return m
 
     def unmask(self, mask: int) -> frozenset[int]:
-        out = []
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            out.append(self.elems[bit.bit_length() - 1])
-        return frozenset(out)
+        return frozenset(self.elems[i] for i in _bits(mask))
 
     def value(self, mask: int) -> int:
         size = mask.bit_count()
@@ -122,8 +121,18 @@ class _Evaluator:
     def in_class(self) -> bool:
         """Whether the empty set is self-sufficient; decided once per evaluator."""
         if self.verdict is None:
-            self.verdict = _class_flow(self)
+            self.verdict = None not in _placement(self, 0)[3]
         return self.verdict
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return out
 
 
 @lru_cache(maxsize=2048)
@@ -131,30 +140,32 @@ def _evaluator(struct: Structure) -> _Evaluator:
     return _Evaluator(struct)
 
 
-def _class_flow(ev: _Evaluator) -> bool:
-    """Class membership by one max-flow on Picard's closure network.
+def _placement(ev: _Evaluator, base: int) -> tuple[list, list, list, list]:
+    """A maximum placement of the members' units on Picard's closure network.
 
     Every member (a relation tuple, or one member tuple of one maxclique)
-    carries one unit.  It may place it on one of its own elements, each
-    taking one unit, or, in the clique class, on its own maxclique, which
-    takes s − 1.  The structure is in class exactly when every unit is
-    placed: a set M of members whose elements and cliques can take fewer
-    than |M| units gives predim(X) < 0 for the elements X of M, and the
-    members inside a violator X of the cliques that count in X are such an
-    M.  For tuples this is Hall's condition.  Members are placed one at a
-    time, each by a breadth-first augmenting-path search; when one finds no
-    path, no placement of all units exists.
+    carries one unit.  It may place it on one of its own elements outside
+    `base`, each taking one unit, or, in the clique class, on its own
+    maxclique, which takes s − 1.  Slots 0..n−1 are the elements, n + k the
+    k-th maxclique.  Members are placed one at a time, each by a
+    breadth-first augmenting-path search; a unit that finds no path stays
+    unplaced, and it would find none later either, so the placement is
+    maximum.  Returns (slots, cap, holders, placed): the slots each unit may
+    use, each slot's capacity, the units on each slot and each unit's slot
+    (None when unplaced).
+
+    With base = ∅ every unit is placed exactly when the structure is in
+    class: a set M of members whose elements and cliques take fewer than |M|
+    units gives predim(X) < 0 for the elements X of M, and the members inside
+    a violator X of the cliques that count in X are such an M (for tuples,
+    Hall's condition).  `min_predim_over` and `largest_minimiser` read the
+    same placement with the base's elements closed.
     """
     n = ev.nbits
-    if ev.rel_masks is not None:
-        slots = [[ev.index[e] for e in ev.unmask(tm)] for tm in ev.rel_masks]
-        cap = [1] * n
-    else:
-        slots = [[ev.index[e] for e in ev.unmask(tm)] + [n + k]
-                 for k, kmasks in enumerate(ev.cliques) for tm in kmasks]
-        cap = [1] * n + [ev.s - 1] * len(ev.cliques)
-    holders = [[] for _ in cap]  # the units placed on each slot
-    placed = [None] * len(slots)  # the slot each unit sits on
+    slots = [[v for v in unit if v >= n or not base >> v & 1] for unit in ev.units]
+    cap = [1] * n if ev.cliques is None else [1] * n + [ev.s - 1] * len(ev.cliques)
+    holders = [[] for _ in cap]
+    placed = [None] * len(slots)
     for unit in range(len(slots)):
         # a placed unit is queued only through its own slot, and each slot is reached once
         reached = {}  # slot -> the unit whose search reached it
@@ -172,8 +183,6 @@ def _class_flow(ev: _Evaluator) -> bool:
                     free = v
                     break
                 queue.extend(holders[v])
-        if free is None:
-            return False
         v = free
         while v is not None:  # move each unit on the path to the slot after it
             x = reached[v]
@@ -183,7 +192,7 @@ def _class_flow(ev: _Evaluator) -> bool:
             if old is not None:
                 holders[old].remove(x)
             v = old
-    return True
+    return slots, cap, holders, placed
 
 
 def _contract(value, top: int, base: int) -> int:
@@ -205,9 +214,9 @@ def _contract(value, top: int, base: int) -> int:
 def _min_over(ev: _Evaluator, base: int, tilt: int = 0) -> tuple[int, int]:
     """Exact min of predim(X) over base <= X <= universe, with an argmin mask.
 
-    With tilt=+1 the argmin is the least minimiser and with tilt=-1 the
-    largest: the search runs on (n+1)·predim(X) + tilt·|X| (see the module
-    docstring).  With tilt=0 it is whichever minimiser the search meets first.
+    With tilt=+1 the argmin is the least minimiser: the search runs on
+    (n+1)·predim(X) + |X| (see the module docstring).  With tilt=0 it is
+    whichever minimiser the search meets first.
     """
     scale = ev.nbits + 1
     value = (lambda m: scale * ev.value(m) + tilt * m.bit_count()) if tilt else ev.value
@@ -261,18 +270,61 @@ def predim_rel(a: Structure, part: Iterable[int], base: Iterable[int]) -> int:
 
 
 def min_predim_over(a: Structure, base: Iterable[int]) -> int:
-    """min { predim(X) : base <= X <= universe }, the dimension of `base` when a is in class."""
+    """min { predim(X) : base <= X <= universe }, the dimension of `base` when a is in class.
+
+    It is |B| − |M| + ν_B, where M is the set of units and ν_B the number a
+    maximum placement with B's elements closed places (`_placement`): Hall's
+    deficiency form.  For a set T of units let c(T) be the capacity of the
+    slots they may use.  Each placed unit of T sits on one of those slots, so
+    |T| − c(T) <= |M| − ν_B.
+      (>=) For X >= B let T be the units that count in X: the tuples inside
+      X, or the members inside X of the cliques with more than s − 1 of them.
+      Then predim(X) = |X| − |T| + (s − 1)·#cliques of T >= |B| + c(T) − |T|
+      >= |B| − |M| + ν_B, since the slot elements of T lie in X − B.
+      (<=) Let T be the units that an unplaced unit reaches by alternating
+      paths (unit, a slot it may use, a unit on that slot).  Their slots are
+      full and hold only units of T, so |T| − c(T) = |M| − ν_B, and X = B
+      plus those slots' elements has predim(X) <= |B| + c(T) − |T|.
+    """
     ev = _evaluator(a)
-    return _min_over(ev, ev.mask(base))[0]
+    bmask = ev.mask(base)
+    return bmask.bit_count() - _placement(ev, bmask)[3].count(None)
 
 
 def largest_minimiser(a: Structure, base: Iterable[int]) -> frozenset[int]:
     """The largest X with base <= X <= universe and predim(X) = min_predim_over(a, base).
 
-    One search on (n+1)·predim(X) − |X| finds it (see the module docstring).
+    It is B plus every element whose slot is full in every maximum placement.
+    Equality in min_predim_over's (>=) chain makes X − B the slot elements of
+    T and fills their slots with units of T, in any maximum placement; so no
+    minimiser holds an element whose slot some maximum placement leaves
+    spare.  Those slots are found by one reverse search from the spare
+    slots: a unit that may move onto a slot that can be freed frees the slot
+    it holds.  The units on the slots that cannot be freed, with the
+    unplaced ones, may use only those slots (else a slot could be freed or a
+    unit placed) and fill them, so as in the (<=) step B plus those slots'
+    elements is itself a minimiser.
     """
     ev = _evaluator(a)
-    return ev.unmask(_min_over(ev, ev.mask(base), tilt=-1)[1])
+    bmask = ev.mask(base)
+    slots, cap, holders, placed = _placement(ev, bmask)
+    users = [[] for _ in cap]  # the units that may use each slot
+    for x, usable in enumerate(slots):
+        for v in usable:
+            users[v].append(x)
+    freed = [len(h) < c for h, c in zip(holders, cap)]
+    stack = [v for v, spare in enumerate(freed) if spare]
+    while stack:
+        for x in users[stack.pop()]:
+            v = placed[x]
+            if v is not None and not freed[v]:
+                freed[v] = True
+                stack.append(v)
+    keep = bmask
+    for v in range(ev.nbits):
+        if not freed[v]:
+            keep |= 1 << v
+    return ev.unmask(keep)
 
 
 @dataclass(frozen=True)

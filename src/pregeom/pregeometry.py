@@ -9,10 +9,11 @@ test suite checks both facts against brute force.
 
 cl(B) is also the largest X >= B with predim(X) = rank(B): an element e is in
 cl(B) exactly when some minimiser over [B, U] contains it, and by
-submodularity the minimisers are closed under union.  `closure` therefore runs
-one search, for the unique argmin of the submodular objective
-(n+1)·predim(X) − |X| (`predimension.largest_minimiser`), in place of one
-search per outside element.
+submodularity the minimisers are closed under union.  Both come from one
+max-flow in `predimension`: `rank` is min_predim_over(B) = |B| − |M| + ν_B,
+with M the members' units and ν_B how many a maximum placement places off
+B, and `closure` is `largest_minimiser(B)`, B plus the elements whose slot is
+full in every maximum placement.  Neither runs a subset search.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 
 from pregeom import predimension
 from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
-                     NaryStructure, check_strong, clique_weight, grow,
+                     NaryStructure, check_strong, clique_weight, closure, grow,
                      in_class, induced, is_strong, min_predim_over, predim,
                      predim_rel, rank, strong_hull)
 from pregeom.generic import enumerate_structures
@@ -285,10 +285,13 @@ def _load_bench_oracle():
 BENCH_ORACLE = _load_bench_oracle()
 
 
-def bench_in_class(a):
+def bench_plain(a):
     rel = a.relation if isinstance(a, NaryStructure) else a.maxcliques
-    plain = BENCH_ORACLE.make(a.kind, a.params.n, a.params.r, a.universe, rel)
-    return BENCH_ORACLE.in_class(plain)
+    return BENCH_ORACLE.make(a.kind, a.params.n, a.params.r, a.universe, rel)
+
+
+def bench_in_class(a):
+    return BENCH_ORACLE.in_class(bench_plain(a))
 
 
 def search_in_class(a):
@@ -360,37 +363,142 @@ class TestClassVerdict:
         assert checked > 2 * len(chain.stages)
 
 
+def counted_searches(monkeypatch):
+    """The tie-break of every `_min_over` call from here on, in call order."""
+    calls = []
+    inner = predimension._min_over
+
+    def counted(ev, base, tilt=0):
+        calls.append(tilt)
+        return inner(ev, base, tilt)
+
+    monkeypatch.setattr(predimension, "_min_over", counted)
+    return calls
+
+
+def tuple_path(size):
+    """The (3,1) tuples (i, i+1, i+2) on range(size)."""
+    return [(i, i + 1, i + 2) for i in range(size - 2)]
+
+
+# the (2,1) cliques {2i, 2i+1, 2i+2}: 749 links on 0..1498, and 1499 isolated
+CLIQUE_CHAIN = [[(2 * i,), (2 * i + 1,), (2 * i + 2,)] for i in range(749)]
+# the tuple path without its last tuple, and four tuples on {750, 751, 752}
+CROWDED_PATH = tuple_path(1500)[:-1] + [(750, 752, 751), (751, 750, 752), (752, 751, 750)]
+# the chain without three links, and the six pair cliques of {100, 200, 300, 400}
+CROWDED_CHAIN = CLIQUE_CHAIN[:-3] + [[(x,), (y,)] for x, y in
+                                     itertools.combinations((100, 200, 300, 400), 2)]
+
+
 class TestClassVerdictAtScale:
     """1500-element inputs, where the subset search's contraction is quadratic per round."""
 
-    @staticmethod
-    def counted_searches(monkeypatch):
-        calls = []
-        inner = predimension._min_over
-
-        def counted(ev, base, tilt=0):
-            calls.append(tilt)
-            return inner(ev, base, tilt)
-
-        monkeypatch.setattr(predimension, "_min_over", counted)
-        return calls
-
     def test_tuple_path(self, monkeypatch):
-        calls = self.counted_searches(monkeypatch)
-        path = [(i, i + 1, i + 2) for i in range(1498)]
-        assert in_class(NaryStructure.of(P31, range(1500), path))
-        # drop the last tuple and crowd four tuples onto {750, 751, 752}
-        crowded = path[:-1] + [(750, 752, 751), (751, 750, 752), (752, 751, 750)]
-        b = NaryStructure.of(P31, range(1500), crowded)
+        calls = counted_searches(monkeypatch)
+        assert in_class(NaryStructure.of(P31, range(1500), tuple_path(1500)))
+        b = NaryStructure.of(P31, range(1500), CROWDED_PATH)
         assert len(b.relation) <= len(b.universe) and not in_class(b)
         assert calls == []
 
     def test_clique_chain(self, monkeypatch):
-        calls = self.counted_searches(monkeypatch)
-        chain = [[(2 * i,), (2 * i + 1,), (2 * i + 2,)] for i in range(749)]
-        assert in_class(CliqueStructure.of(P21, range(1500), chain))
-        # drop three links and put the six pair cliques of {100, 200, 300, 400} in their place
-        pairs = [[(x,), (y,)] for x, y in itertools.combinations((100, 200, 300, 400), 2)]
-        b = CliqueStructure.of(P21, range(1500), chain[:-3] + pairs)
+        calls = counted_searches(monkeypatch)
+        assert in_class(CliqueStructure.of(P21, range(1500), CLIQUE_CHAIN))
+        b = CliqueStructure.of(P21, range(1500), CROWDED_CHAIN)
         assert predim(b) >= 0 and not in_class(b)
         assert calls == []
+
+
+class TestRankAndClosureAtScale:
+    """rank and closure read one unit placement; the subset search was exponential in closure."""
+
+    def test_tuple_path(self, monkeypatch):
+        calls = counted_searches(monkeypatch)
+        a = NaryStructure.of(P31, range(1500), tuple_path(1500))
+        # a run of k consecutive elements holds max(0, k - 2) tuples, so every
+        # non-empty set has predim at least 1, and predim(a) = 2
+        assert rank(a, {0}) == 1 and rank(a, {0, 1}) == predim(a) == 2
+        assert closure(a, {0}) == {0}
+        assert closure(a, {0, 1}) == a.universe
+        # out of class: each run through {750, 751, 752} that stops before the
+        # now isolated 1499 has predim -1
+        b = NaryStructure.of(P31, range(1500), CROWDED_PATH)
+        assert min_predim_over(b, ()) == min_predim_over(b, {0}) == -1
+        assert predimension.largest_minimiser(b, ()) == frozenset(range(1499))
+        assert calls == []
+
+    def test_clique_chain(self, monkeypatch):
+        calls = counted_searches(monkeypatch)
+        a = CliqueStructure.of(P21, range(1500), CLIQUE_CHAIN)
+        plain = bench_plain(a)
+        assert rank(a, {0}) == rank(a, {0, 1}) == 1 == BENCH_ORACLE.rank(plain, {0})
+        assert rank(a, {0, 1499}) == 2 == BENCH_ORACLE.rank(plain, {0, 1499})
+        # the chain 0..1498 has predim 1499 - 2·749 = 1
+        assert closure(a, {0}) == closure(a, {0, 1}) == frozenset(range(1499))
+        assert closure(a, {1499}) == {1499}
+        # out of class: the chain's first 746 links and the six pairs give 1493 - 1492 - 6
+        b = CliqueStructure.of(P21, range(1500), CROWDED_CHAIN)
+        assert min_predim_over(b, ()) == -5 == BENCH_ORACLE.rank(bench_plain(b), ())
+        assert predimension.largest_minimiser(b, ()) == frozenset(range(1493))
+        assert calls == []
+
+    def test_thirty_element_path(self, monkeypatch):
+        # the branch-and-bound took 15-19 s for closure({0, 1}) here
+        calls = counted_searches(monkeypatch)
+        a = NaryStructure.of(P31, range(30), tuple_path(30))
+        plain = bench_plain(a)
+        assert closure(a, {0, 1}) == a.universe == BENCH_ORACLE.closure(plain, {0, 1})
+        for base in itertools.combinations(range(30), 2):
+            assert rank(a, base) == BENCH_ORACLE.rank(plain, base)
+            assert closure(a, base) == BENCH_ORACLE.closure(plain, base)
+        assert calls == []
+
+
+def crowded_copy(a, rng):
+    """`a` with tuples, or s-member cliques, added inside one window until it leaves the class.
+
+    None when a hundred tries leave it in class.
+    """
+    p = a.params
+    window = rng.sample(a.sorted_universe(), min(len(a.universe), p.n + 2))
+    for _ in range(100):
+        if isinstance(a, NaryStructure):
+            b = NaryStructure(p, a.universe, a.relation | {tuple(rng.sample(window, p.n))})
+        else:
+            k = frozenset(tuple(rng.sample(window, p.r)) for _ in range(p.s))
+            b = CliqueStructure(p, a.universe, a.maxcliques | {k})
+            if len(k) < p.s or validate(b):
+                continue
+        a = b
+        if not in_class(a):
+            return a
+    return None
+
+
+class TestFlowAgreesWithEnumeration:
+    """The flow's minimum and largest minimiser on every base, in class or not.
+
+    `verify_partial_pg_iso` compares `min_predim_over` on out-of-class inputs too.
+    """
+
+    @pytest.mark.parametrize("kind", ["nary", "clique"])
+    @pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (3, 2), (4, 2), (2, 1)])
+    def test_every_base(self, kind, n, r):
+        rng = random.Random(100 * n + 10 * r + (kind == "clique"))
+        params = ClassParams(n, r)
+        checked = out_of_class = 0
+        for _ in range(20):
+            if kind == "nary":
+                a = random_nary(rng, params, 9, min_size=n, max_relations=12)
+            else:
+                a = random_clique(rng, params, 9, min_size=n)
+            for b in filter(None, (a, crowded_copy(a, rng))):
+                values = {x: naive_predim(b, x) for x in subsets(b.universe)}
+                for base in values:
+                    supersets = [base | extra for extra in subsets(b.universe - base)]
+                    least = min(values[x] for x in supersets)
+                    minimisers = [x for x in supersets if values[x] == least]
+                    assert min_predim_over(b, base) == least
+                    assert predimension.largest_minimiser(b, base) == frozenset().union(*minimisers)
+                checked += 1
+                out_of_class += not in_class(b)
+        assert out_of_class >= 10 and checked - out_of_class >= 5

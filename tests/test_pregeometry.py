@@ -65,8 +65,11 @@ class TestClosure:
             return inner(ev, base, tilt)
 
         monkeypatch.setattr(predimension, "_min_over", counted)
+        # rank and closure each read one unit placement and run no subset search
+        rank(a, {a.sorted_universe()[0]})
+        assert calls == []
         closure(a, {a.sorted_universe()[0]})
-        assert calls == [-1]  # one largest-minimiser search
+        assert calls == []
 
     @pytest.mark.parametrize("kind,params,target", [("nary", P31, 30), ("clique", P21, 40)],
                              ids=["tuple", "clique"])
