@@ -14,7 +14,10 @@ ways:
 
   * contraction: an element whose marginal w.r.t. the current upper set is
     non-negative can be discarded from every minimiser (its marginal only
-    grows as the set shrinks);
+    grows as the set shrinks).  That marginal is one minus the units the
+    element's removal loses, so the rule is "at most one lost unit"; the
+    tie-break below keeps it, as (n+1)·(1 − lost) + 1 >= 0 exactly when
+    lost <= 1.  One sweep over the units counts every loss of a round;
   * a lower bound: predim(X) >= predim(S) + sum of the negative top
     marginals of the still-free elements, for every S <= X <= T.
 
@@ -34,6 +37,7 @@ with plain enumeration; the test suite carries the naive oracle.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -56,8 +60,8 @@ def clique_weight(members, s: int) -> int:
 class _Evaluator:
     """Predimension of induced substructures, evaluated on element bitmasks."""
 
-    __slots__ = ("elems", "index", "nbits", "full", "rel_masks", "cliques", "s", "units",
-                 "verdict")
+    __slots__ = ("elems", "index", "nbits", "full", "rel_masks", "cliques", "members", "most",
+                 "s", "units", "verdict")
 
     def __init__(self, struct: Structure):
         report = validate(struct)
@@ -69,7 +73,7 @@ class _Evaluator:
         self.full = (1 << self.nbits) - 1
         if isinstance(struct, NaryStructure):
             self.rel_masks = [self._mask_of(t) for t in sorted(struct.relation)]
-            self.cliques = None
+            self.cliques = self.members = self.most = None
             self.s = None
             self.units = [_bits(tm) for tm in self.rel_masks]
         else:
@@ -78,8 +82,12 @@ class _Evaluator:
             self.cliques = [[self._mask_of(t) for t in sorted(k)]
                             for k in sorted(struct.maxcliques, key=lambda k: sorted(k))]
             self.rel_masks = None
-            self.units = [_bits(tm) + [self.nbits + k]
-                          for k, kmasks in enumerate(self.cliques) for tm in kmasks]
+            self.members = [[_bits(tm) for tm in kmasks] for kmasks in self.cliques]
+            # the most members of one maxclique that any one element lies in
+            self.most = [max(Counter(i for bits in kbits for i in bits).values())
+                         for kbits in self.members]
+            self.units = [bits + [self.nbits + k]
+                          for k, kbits in enumerate(self.members) for bits in kbits]
         self.verdict = None  # class membership, filled by in_class()
 
     def _mask_of(self, t) -> int:
@@ -195,19 +203,40 @@ def _placement(ev: _Evaluator, base: int) -> tuple[list, list, list, list]:
     return slots, cap, holders, placed
 
 
-def _contract(value, top: int, base: int) -> int:
-    """Shrink `top`: drop elements with non-negative marginal under `value`, to a fixpoint."""
+def _contract(ev: _Evaluator, base: int) -> tuple[int, list[int]]:
+    """Shrink the universe to a fixpoint `top` and count each element's lost units there.
+
+    Dropping element i from `top` loses lost[i] units, so its marginal is
+    1 − lost[i]: a tuple inside `top` containing i, or, for a maxclique K
+    with c_K members inside `top` of which d_K(i) contain i,
+    min(d_K(i), max(0, c_K − (s − 1))).  Each round is one sweep over the
+    units and drops every element outside `base` that loses at most one.
+    """
+    top = ev.full
     while True:
-        p_top = value(top)
+        lost = [0] * ev.nbits
+        if ev.cliques is None:
+            for tm, unit in zip(ev.rel_masks, ev.units):
+                if tm & top == tm:
+                    for i in unit:
+                        lost[i] += 1
+        else:
+            for kmasks, kbits, most in zip(ev.cliques, ev.members, ev.most):
+                inside = [bits for tm, bits in zip(kmasks, kbits) if tm & top == tm]
+                spare = len(inside) - (ev.s - 1)
+                if spare >= most:  # d_K(i) <= most <= spare, so min(d_K(i), spare) = d_K(i)
+                    for bits in inside:
+                        for i in bits:
+                            lost[i] += 1
+                elif spare > 0:
+                    for i, d in Counter(i for bits in inside for i in bits).items():
+                        lost[i] += min(d, spare)
         drop = 0
-        m = top & ~base
-        while m:
-            bit = m & -m
-            m ^= bit
-            if p_top - value(top & ~bit) >= 0:
-                drop |= bit
+        for i in _bits(top & ~base):
+            if lost[i] <= 1:
+                drop |= 1 << i
         if not drop:
-            return top
+            return top, lost
         top &= ~drop
 
 
@@ -220,16 +249,11 @@ def _min_over(ev: _Evaluator, base: int, tilt: int = 0) -> tuple[int, int]:
     """
     scale = ev.nbits + 1
     value = (lambda m: scale * ev.value(m) + tilt * m.bit_count()) if tilt else ev.value
-    top = _contract(value, ev.full, base)
-    free = []
-    m = top & ~base
-    while m:
-        bit = m & -m
-        m ^= bit
-        free.append(bit)
-    p_top = value(top)
-    marg = {bit: p_top - value(top & ~bit) for bit in free}
-    free.sort(key=lambda b: marg[b])
+    top, lost = _contract(ev, base)
+    # the marginal of element i against top is 1 − lost[i], times scale plus tilt when tilted
+    weight = scale if tilt else 1
+    marg = {1 << i: weight * (1 - lost[i]) + tilt for i in _bits(top & ~base)}
+    free = sorted(marg, key=marg.get)
     suffix = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + min(0, marg[free[i]])

@@ -7,7 +7,7 @@ import pytest
 
 from pregeom import predimension
 from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
-                     NaryStructure, check_strong, clique_weight, closure, grow,
+                     NaryStructure, StrongWitness, check_strong, clique_weight, closure, grow,
                      in_class, induced, is_strong, min_predim_over, predim,
                      predim_rel, rank, strong_hull)
 from pregeom.generic import enumerate_structures
@@ -391,7 +391,8 @@ CROWDED_CHAIN = CLIQUE_CHAIN[:-3] + [[(x,), (y,)] for x, y in
 
 
 class TestClassVerdictAtScale:
-    """1500-element inputs, where the subset search's contraction is quadratic per round."""
+    """1500-element inputs, where the subset search's contraction drops about one element
+    per round, each round one sweep over the tuples or cliques."""
 
     def test_tuple_path(self, monkeypatch):
         calls = counted_searches(monkeypatch)
@@ -474,31 +475,108 @@ def crowded_copy(a, rng):
     return None
 
 
+def seeded_structures(kind, n, r):
+    """Twenty seeded structures of at most 9 elements, each followed by its crowded copy."""
+    rng = random.Random(100 * n + 10 * r + (kind == "clique"))
+    params = ClassParams(n, r)
+    for _ in range(20):
+        if kind == "nary":
+            a = random_nary(rng, params, 9, min_size=n, max_relations=12)
+        else:
+            a = random_clique(rng, params, 9, min_size=n)
+        yield from filter(None, (a, crowded_copy(a, rng)))
+
+
+SEEDED_KINDS = pytest.mark.parametrize("kind", ["nary", "clique"])
+SEEDED_PARAMS = pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (3, 2), (4, 2), (2, 1)])
+
+
 class TestFlowAgreesWithEnumeration:
     """The flow's minimum and largest minimiser on every base, in class or not.
 
     `verify_partial_pg_iso` compares `min_predim_over` on out-of-class inputs too.
     """
 
-    @pytest.mark.parametrize("kind", ["nary", "clique"])
-    @pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (3, 2), (4, 2), (2, 1)])
+    @SEEDED_KINDS
+    @SEEDED_PARAMS
     def test_every_base(self, kind, n, r):
-        rng = random.Random(100 * n + 10 * r + (kind == "clique"))
-        params = ClassParams(n, r)
         checked = out_of_class = 0
-        for _ in range(20):
-            if kind == "nary":
-                a = random_nary(rng, params, 9, min_size=n, max_relations=12)
-            else:
-                a = random_clique(rng, params, 9, min_size=n)
-            for b in filter(None, (a, crowded_copy(a, rng))):
-                values = {x: naive_predim(b, x) for x in subsets(b.universe)}
-                for base in values:
-                    supersets = [base | extra for extra in subsets(b.universe - base)]
-                    least = min(values[x] for x in supersets)
-                    minimisers = [x for x in supersets if values[x] == least]
-                    assert min_predim_over(b, base) == least
-                    assert predimension.largest_minimiser(b, base) == frozenset().union(*minimisers)
-                checked += 1
-                out_of_class += not in_class(b)
+        for b in seeded_structures(kind, n, r):
+            values = {x: naive_predim(b, x) for x in subsets(b.universe)}
+            for base in values:
+                supersets = [base | extra for extra in subsets(b.universe - base)]
+                least = min(values[x] for x in supersets)
+                minimisers = [x for x in supersets if values[x] == least]
+                assert min_predim_over(b, base) == least
+                assert predimension.largest_minimiser(b, base) == frozenset().union(*minimisers)
+            checked += 1
+            out_of_class += not in_class(b)
         assert out_of_class >= 10 and checked - out_of_class >= 5
+
+
+def rescan_contract(value, top, base):
+    """The contraction as one `value` call per element per round: the reference."""
+    while True:
+        p_top = value(top)
+        drop = 0
+        for e in predimension._bits(top & ~base):
+            if p_top - value(top & ~(1 << e)) >= 0:
+                drop |= 1 << e
+        if not drop:
+            return top
+        top &= ~drop
+
+
+class TestContraction:
+    """`_contract` reads every marginal off one sweep over the units per round."""
+
+    @SEEDED_KINDS
+    @SEEDED_PARAMS
+    def test_matches_the_rescan_on_every_base(self, kind, n, r):
+        for b in seeded_structures(kind, n, r):
+            ev = predimension._Evaluator(b)
+            scale = ev.nbits + 1
+            tilted = lambda m: scale * ev.value(m) + m.bit_count()
+            values = {x: naive_predim(b, x) for x in subsets(b.universe)}
+            for base in values:
+                bmask = ev.mask(base)
+                top, lost = predimension._contract(ev, bmask)
+                assert top == rescan_contract(ev.value, ev.full, bmask)
+                assert top == rescan_contract(tilted, ev.full, bmask)
+                for e in predimension._bits(top & ~bmask):
+                    assert 1 - lost[e] == ev.value(top) - ev.value(top & ~(1 << e))
+                # naive_strong_hull, read off the table: an element of the
+                # least minimiser has a negative marginal in every superset
+                supersets = [base | extra for extra in subsets(b.universe - base)]
+                least = min(values[x] for x in supersets)
+                hull = frozenset.intersection(*(x for x in supersets if values[x] == least))
+                assert hull <= ev.unmask(top)
+
+    def test_makes_no_value_call(self, monkeypatch):
+        calls = []
+        inner = predimension._Evaluator.value
+        monkeypatch.setattr(predimension._Evaluator, "value",
+                            lambda ev, mask: calls.append(mask) or inner(ev, mask))
+        for a in (NaryStructure.of(P31, range(60), tuple_path(60)),
+                  CliqueStructure.of(P21, range(61), CLIQUE_CHAIN[:30])):
+            ev = predimension._Evaluator(a)
+            for base in (0, 1, ev.full):
+                predimension._contract(ev, base)
+        assert calls == []
+
+
+class TestStrongnessAtScale:
+    """The 600-element tuple path; each call took 8-10 s when the contraction
+    evaluated the predimension once per element per round."""
+
+    A = NaryStructure.of(P31, range(600), tuple_path(600))
+
+    def test_a_point_is_strong(self):
+        assert is_strong(self.A, {0})
+        assert strong_hull(self.A, {0}) == {0}
+
+    def test_a_gap_is_not(self):
+        # {0, 1, 3, 4} holds no tuple; adding 2 adds (0,1,2), (1,2,3) and (2,3,4)
+        assert check_strong(self.A, {0, 1, 3, 4}) == (
+            False, StrongWitness((0, 1, 2, 3, 4), -2))
+        assert strong_hull(self.A, {0, 1, 3, 4}) == frozenset(range(5))
