@@ -6,7 +6,10 @@ exact integers.
 
 Class membership (the empty set is self-sufficient), the dimension
 min_predim_over(B) and its largest minimiser (the closure of B) come from one
-max-flow, `_placement`, in time polynomial in the size of the structure.
+max-flow, `_placement`, in time polynomial in the size of the structure.  The
+evaluator keeps the maximum placement for B = ∅, which decides membership;
+for a base B, `_placement` unplaces only the units on B's element slots, at
+most |B|, and re-augments just those (the proof is in its docstring).
 Self-sufficiency of a base, the strong hull and the strong witness still run
 the branch-and-bound `_min_over`.  The two predimension functions are
 submodular on valid inputs, and the branch-and-bound relies on that in two
@@ -17,7 +20,9 @@ ways:
     grows as the set shrinks).  That marginal is one minus the units the
     element's removal loses, so the rule is "at most one lost unit"; the
     tie-break below keeps it, as (n+1)·(1 − lost) + 1 >= 0 exactly when
-    lost <= 1.  One sweep over the units counts every loss of a round;
+    lost <= 1.  So a round needs only the elements that lose two or more
+    units, and one pass over the unit masks finds them as a bitmask; the
+    exact counts are taken once, at the fixpoint, for the free elements;
   * a lower bound: predim(X) >= predim(S) + sum of the negative top
     marginals of the still-free elements, for every S <= X <= T.
 
@@ -37,7 +42,6 @@ with plain enumeration; the test suite carries the naive oracle.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -58,10 +62,16 @@ def clique_weight(members, s: int) -> int:
 
 
 class _Evaluator:
-    """Predimension of induced substructures, evaluated on element bitmasks."""
+    """Predimension of induced substructures, evaluated on element bitmasks.
 
-    __slots__ = ("elems", "index", "nbits", "full", "rel_masks", "cliques", "members", "most",
-                 "s", "units", "verdict")
+    Also the indexes the kernels read: `units` (the slots each unit may use,
+    `_placement`), `users` (the units that may use each slot), `incidence`
+    (the unit masks through each element, `_contract`), and the cached
+    maximum placement with no slot closed (`holders`, `placed`).
+    """
+
+    __slots__ = ("elems", "index", "nbits", "full", "rel_masks", "cliques", "s", "units",
+                 "cap", "users", "incidence", "holders", "placed")
 
     def __init__(self, struct: Structure):
         report = validate(struct)
@@ -69,26 +79,39 @@ class _Evaluator:
             raise DomainError("invalid structure: " + "; ".join(report))
         self.elems = struct.sorted_universe()
         self.index = {e: i for i, e in enumerate(self.elems)}
-        self.nbits = len(self.elems)
-        self.full = (1 << self.nbits) - 1
+        self.nbits = n = len(self.elems)
+        self.full = (1 << n) - 1
+        self.incidence = [[] for _ in range(n)]
         if isinstance(struct, NaryStructure):
             self.rel_masks = [self._mask_of(t) for t in sorted(struct.relation)]
-            self.cliques = self.members = self.most = None
-            self.s = None
+            self.cliques = self.s = None
             self.units = [_bits(tm) for tm in self.rel_masks]
+            for tm, unit in zip(self.rel_masks, self.units):
+                for i in unit:
+                    self.incidence[i].append(tm)
+            self.cap = [1] * n
         else:
             # distinct member tuples may share a support mask; count tuples, not masks
             self.s = struct.params.s
             self.cliques = [[self._mask_of(t) for t in sorted(k)]
                             for k in sorted(struct.maxcliques, key=lambda k: sorted(k))]
             self.rel_masks = None
-            self.members = [[_bits(tm) for tm in kmasks] for kmasks in self.cliques]
-            # the most members of one maxclique that any one element lies in
-            self.most = [max(Counter(i for bits in kbits for i in bits).values())
-                         for kbits in self.members]
-            self.units = [bits + [self.nbits + k]
-                          for k, kbits in enumerate(self.members) for bits in kbits]
-        self.verdict = None  # class membership, filled by in_class()
+            self.units = []
+            for k, kmasks in enumerate(self.cliques):
+                through = {}  # element -> the masks of this clique's members that contain it
+                for tm in kmasks:
+                    bits = _bits(tm)
+                    self.units.append(bits + [n + k])
+                    for i in bits:
+                        through.setdefault(i, []).append(tm)
+                for i, masks in through.items():
+                    self.incidence[i].append((k, masks))
+            self.cap = [1] * n + [self.s - 1] * len(self.cliques)
+        self.users = [[] for _ in self.cap]
+        for x, unit in enumerate(self.units):
+            for v in unit:
+                self.users[v].append(x)
+        self.holders = self.placed = None  # filled by in_class()
 
     def _mask_of(self, t) -> int:
         m = 0
@@ -127,10 +150,17 @@ class _Evaluator:
         return size - total
 
     def in_class(self) -> bool:
-        """Whether the empty set is self-sufficient; decided once per evaluator."""
-        if self.verdict is None:
-            self.verdict = None not in _placement(self, 0)[3]
-        return self.verdict
+        """Whether the empty set is self-sufficient: every unit is placed at base ∅.
+
+        The first call builds the maximum placement with no slot closed,
+        which `_placement` then re-augments for each base.
+        """
+        if self.placed is None:
+            self.holders = [[] for _ in self.cap]
+            self.placed = [None] * len(self.units)
+            for x in range(len(self.units)):
+                _augment(self, x, 0, self.holders, self.placed)
+        return None not in self.placed
 
 
 def _bits(mask: int) -> list[int]:
@@ -148,96 +178,153 @@ def _evaluator(struct: Structure) -> _Evaluator:
     return _Evaluator(struct)
 
 
-def _placement(ev: _Evaluator, base: int) -> tuple[list, list, list, list]:
+def _augment(ev: _Evaluator, unit: int, base: int, holders: list, placed: list) -> None:
+    """Place `unit` by one breadth-first augmenting-path search that skips `base`'s slots.
+
+    Each unit on the path found moves to the slot after it.  When no path
+    reaches a slot with spare capacity nothing changes, and the unit stays
+    unplaced.
+    """
+    # a placed unit is queued only through its own slot, and each slot is reached once
+    reached = {}  # slot -> the unit whose search reached it
+    queue = [unit]
+    free = None
+    i = 0
+    while free is None and i < len(queue):
+        x = queue[i]
+        i += 1
+        for v in ev.units[x]:
+            if v in reached or base >> v & 1:
+                continue
+            reached[v] = x
+            if len(holders[v]) < ev.cap[v]:
+                free = v
+                break
+            queue.extend(holders[v])
+    v = free
+    while v is not None:  # move each unit on the path to the slot after it
+        x = reached[v]
+        old = placed[x]
+        placed[x] = v
+        holders[v].append(x)
+        if old is not None:
+            holders[old].remove(x)
+        v = old
+
+
+def _placement(ev: _Evaluator, base: int) -> tuple[list, list]:
     """A maximum placement of the members' units on Picard's closure network.
 
     Every member (a relation tuple, or one member tuple of one maxclique)
     carries one unit.  It may place it on one of its own elements outside
     `base`, each taking one unit, or, in the clique class, on its own
-    maxclique, which takes s − 1.  Slots 0..n−1 are the elements, n + k the
-    k-th maxclique.  Members are placed one at a time, each by a
-    breadth-first augmenting-path search; a unit that finds no path stays
-    unplaced, and it would find none later either, so the placement is
-    maximum.  Returns (slots, cap, holders, placed): the slots each unit may
-    use, each slot's capacity, the units on each slot and each unit's slot
-    (None when unplaced).
+    maxclique, which takes s − 1 (`ev.cap`).  Slots 0..n−1 are the elements,
+    n + k the k-th maxclique; `base`'s element slots are closed.  Returns
+    (holders, placed): the units on each slot and each unit's slot (None
+    when unplaced).
+
+    The evaluator keeps a maximum placement for base = ∅, built by
+    `in_class` one unit at a time, each by one augmenting search
+    (`_augment`).  A unit that finds no path stays unplaced, and it would
+    find none later either: augmenting along a path opens none for a unit
+    that had none.  So no unplaced unit has an augmenting path, and by
+    Berge's theorem the placement is maximum.  For a base B the cached
+    placement is copied, the units on B's element slots (at most |B|) are
+    unplaced, and just those are re-augmented with B's slots closed.  A unit
+    left unplaced at ∅ stays unplaced: before the re-augmentation every
+    open slot has the same holders as in the ∅ placement, so an augmenting
+    path for that unit, which avoids B's slots, would also have augmented
+    the ∅ placement; and the re-augmentations open none.  By Berge's theorem
+    the result is maximum, so ν_B and the slots full in every maximum
+    placement, which are all that `min_predim_over` and `largest_minimiser`
+    read, are those of a placement from nothing.
 
     With base = ∅ every unit is placed exactly when the structure is in
     class: a set M of members whose elements and cliques take fewer than |M|
     units gives predim(X) < 0 for the elements X of M, and the members inside
     a violator X of the cliques that count in X are such an M (for tuples,
-    Hall's condition).  `min_predim_over` and `largest_minimiser` read the
-    same placement with the base's elements closed.
+    Hall's condition).
     """
-    n = ev.nbits
-    slots = [[v for v in unit if v >= n or not base >> v & 1] for unit in ev.units]
-    cap = [1] * n if ev.cliques is None else [1] * n + [ev.s - 1] * len(ev.cliques)
-    holders = [[] for _ in cap]
-    placed = [None] * len(slots)
-    for unit in range(len(slots)):
-        # a placed unit is queued only through its own slot, and each slot is reached once
-        reached = {}  # slot -> the unit whose search reached it
-        queue = [unit]
-        free = None
-        i = 0
-        while free is None and i < len(queue):
-            x = queue[i]
-            i += 1
-            for v in slots[x]:
-                if v in reached:
-                    continue
-                reached[v] = x
-                if len(holders[v]) < cap[v]:
-                    free = v
-                    break
-                queue.extend(holders[v])
-        v = free
-        while v is not None:  # move each unit on the path to the slot after it
-            x = reached[v]
-            old = placed[x]
-            placed[x] = v
-            holders[v].append(x)
-            if old is not None:
-                holders[old].remove(x)
-            v = old
-    return slots, cap, holders, placed
+    ev.in_class()  # builds the placement for base = ∅ on the first call
+    holders = list(map(list.copy, ev.holders))  # copies: the cache stays the placement for ∅
+    placed = ev.placed[:]
+    moved = []
+    for v in _bits(base):
+        moved += holders[v]
+        holders[v] = []
+    for x in moved:
+        placed[x] = None
+    for x in moved:
+        _augment(ev, x, base, holders, placed)
+    return holders, placed
 
 
-def _contract(ev: _Evaluator, base: int) -> tuple[int, list[int]]:
-    """Shrink the universe to a fixpoint `top` and count each element's lost units there.
+def _contract(ev: _Evaluator, base: int) -> tuple[int, dict[int, int]]:
+    """Shrink the universe to a fixpoint `top` and count its free elements' lost units.
 
     Dropping element i from `top` loses lost[i] units, so its marginal is
     1 − lost[i]: a tuple inside `top` containing i, or, for a maxclique K
     with c_K members inside `top` of which d_K(i) contain i,
-    min(d_K(i), max(0, c_K − (s − 1))).  Each round is one sweep over the
-    units and drops every element outside `base` that loses at most one.
+    min(d_K(i), max(0, c_K − (s − 1))).  Each round drops every element
+    outside `base` that loses at most one unit, so it needs only the set of
+    elements that lose two or more.  One pass over the unit masks inside
+    `top` keeps two saturating masks, `ones` and `twos`, of the elements
+    that lose at least one and at least two units.  A tuple adds its mask.
+    A maxclique with spare = c_K − (s − 1) >= 2 adds each inside member's
+    mask, since then min(d_K(i), spare) >= 2 exactly when d_K(i) >= 2; with
+    spare = 1 it adds the union of those masks once, as each element in it
+    loses exactly one unit there; with spare <= 0 it adds nothing.  Only at
+    the fixpoint are the exact counts taken, for the free elements
+    (`top` − `base`) alone, from the evaluator's element-to-unit incidence
+    index.  Returns (top, lost), lost keyed by the free elements' indices.
     """
     top = ev.full
     while True:
-        lost = [0] * ev.nbits
+        ones = twos = 0
         if ev.cliques is None:
-            for tm, unit in zip(ev.rel_masks, ev.units):
+            for tm in ev.rel_masks:
                 if tm & top == tm:
-                    for i in unit:
-                        lost[i] += 1
+                    twos |= ones & tm
+                    ones |= tm
         else:
-            for kmasks, kbits, most in zip(ev.cliques, ev.members, ev.most):
-                inside = [bits for tm, bits in zip(kmasks, kbits) if tm & top == tm]
-                spare = len(inside) - (ev.s - 1)
-                if spare >= most:  # d_K(i) <= most <= spare, so min(d_K(i), spare) = d_K(i)
-                    for bits in inside:
-                        for i in bits:
-                            lost[i] += 1
-                elif spare > 0:
-                    for i, d in Counter(i for bits in inside for i in bits).items():
-                        lost[i] += min(d, spare)
-        drop = 0
-        for i in _bits(top & ~base):
-            if lost[i] <= 1:
-                drop |= 1 << i
+            spares = []
+            for kmasks in ev.cliques:
+                # c members inside top; `one` and `two` hold the elements in one and in two of them
+                c = one = two = 0
+                for tm in kmasks:
+                    if tm & top == tm:
+                        c += 1
+                        two |= one & tm
+                        one |= tm
+                spare = c - (ev.s - 1)
+                spares.append(spare)
+                if spare >= 2:
+                    twos |= two | ones & one
+                    ones |= one
+                elif spare == 1:
+                    twos |= ones & one
+                    ones |= one
+        drop = top & ~base & ~twos
         if not drop:
-            return top, lost
+            break
         top &= ~drop
+    lost = {}
+    for i in _bits(top & ~base):
+        total = 0
+        if ev.cliques is None:
+            for tm in ev.incidence[i]:
+                if tm & top == tm:
+                    total += 1
+        else:
+            for k, masks in ev.incidence[i]:
+                if spares[k] > 0:
+                    d = 0
+                    for tm in masks:
+                        if tm & top == tm:
+                            d += 1
+                    total += min(d, spares[k])
+        lost[i] = total
+    return top, lost
 
 
 def _min_over(ev: _Evaluator, base: int, tilt: int = 0) -> tuple[int, int]:
@@ -252,7 +339,7 @@ def _min_over(ev: _Evaluator, base: int, tilt: int = 0) -> tuple[int, int]:
     top, lost = _contract(ev, base)
     # the marginal of element i against top is 1 − lost[i], times scale plus tilt when tilted
     weight = scale if tilt else 1
-    marg = {1 << i: weight * (1 - lost[i]) + tilt for i in _bits(top & ~base)}
+    marg = {1 << i: weight * (1 - loss) + tilt for i, loss in lost.items()}
     free = sorted(marg, key=marg.get)
     suffix = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):
@@ -309,10 +396,14 @@ def min_predim_over(a: Structure, base: Iterable[int]) -> int:
       paths (unit, a slot it may use, a unit on that slot).  Their slots are
       full and hold only units of T, so |T| − c(T) = |M| − ν_B, and X = B
       plus those slots' elements has predim(X) <= |B| + c(T) − |T|.
+    ν_B is the same for every maximum placement, so it may be read off the
+    one `_placement` re-augments from the cached placement for ∅: the units
+    left unplaced at ∅ stay unplaced, and by Berge's theorem no unplaced
+    unit has an augmenting path (see `_placement`).
     """
     ev = _evaluator(a)
     bmask = ev.mask(base)
-    return bmask.bit_count() - _placement(ev, bmask)[3].count(None)
+    return bmask.bit_count() - _placement(ev, bmask)[1].count(None)
 
 
 def largest_minimiser(a: Structure, base: Iterable[int]) -> frozenset[int]:
@@ -327,19 +418,19 @@ def largest_minimiser(a: Structure, base: Iterable[int]) -> frozenset[int]:
     it holds.  The units on the slots that cannot be freed, with the
     unplaced ones, may use only those slots (else a slot could be freed or a
     unit placed) and fill them, so as in the (<=) step B plus those slots'
-    elements is itself a minimiser.
+    elements is itself a minimiser.  Any maximum placement serves, and
+    `_placement`'s re-augmented one is maximum.  The search reads the
+    evaluator's `users` index, built with no slot closed; it never pushes a
+    closed slot of B, so it only crosses slots the units may use.
     """
     ev = _evaluator(a)
     bmask = ev.mask(base)
-    slots, cap, holders, placed = _placement(ev, bmask)
-    users = [[] for _ in cap]  # the units that may use each slot
-    for x, usable in enumerate(slots):
-        for v in usable:
-            users[v].append(x)
-    freed = [len(h) < c for h, c in zip(holders, cap)]
-    stack = [v for v, spare in enumerate(freed) if spare]
+    holders, placed = _placement(ev, bmask)
+    freed = [len(h) < c for h, c in zip(holders, ev.cap)]
+    # a closed slot is never pushed: no unit may use it
+    stack = [v for v, spare in enumerate(freed) if spare and not bmask >> v & 1]
     while stack:
-        for x in users[stack.pop()]:
+        for x in ev.users[stack.pop()]:
             v = placed[x]
             if v is not None and not freed[v]:
                 freed[v] = True

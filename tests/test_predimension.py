@@ -13,7 +13,7 @@ from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
 from pregeom.generic import enumerate_structures
 from pregeom.gen import (random_clique, random_clique_in_class, random_nary,
                          random_nary_in_class, random_subset)
-from pregeom.oracles import (naive_is_strong, naive_min_over, naive_predim,
+from pregeom.oracles import (naive_closure, naive_is_strong, naive_min_over, naive_predim,
                              naive_strong_hull, naive_strong_witness, subsets)
 from pregeom.structures import validate
 
@@ -410,7 +410,8 @@ class TestClassVerdictAtScale:
 
 
 class TestRankAndClosureAtScale:
-    """rank and closure read one unit placement; the subset search was exponential in closure."""
+    """rank and closure re-augment the cached unit placement; the subset search was
+    exponential in closure."""
 
     def test_tuple_path(self, monkeypatch):
         calls = counted_searches(monkeypatch)
@@ -441,6 +442,32 @@ class TestRankAndClosureAtScale:
         assert min_predim_over(b, ()) == -5 == BENCH_ORACLE.rank(bench_plain(b), ())
         assert predimension.largest_minimiser(b, ()) == frozenset(range(1493))
         assert calls == []
+
+    @pytest.mark.parametrize("a", [NaryStructure.of(P31, range(1500), tuple_path(1500)),
+                                   CliqueStructure.of(P21, range(1500), CLIQUE_CHAIN)],
+                             ids=["tuple-path", "clique-chain"])
+    def test_one_search_per_unit_on_the_base(self, monkeypatch, a):
+        # warm: the placement for base = ∅ is built once, by one search per unit
+        ev = predimension._evaluator(a)
+        assert in_class(a)
+        searches = []
+        inner = predimension._augment
+        monkeypatch.setattr(predimension, "_augment",
+                            lambda ev, unit, *rest: searches.append(unit) or inner(ev, unit, *rest))
+        rng = random.Random(1500)
+        bases = [{0}, {0, 1}, {749, 750, 751}, {1498, 1499}]
+        bases += [rng.sample(range(1500), k) for k in (1, 2, 3, 5, 8, 13) for _ in range(3)]
+        moved = 0
+        for base in bases:
+            sat = sorted(x for v in predimension._bits(ev.mask(base)) for x in ev.holders[v])
+            for query in (rank, closure):
+                searches.clear()
+                query(a, base)
+                assert sorted(searches) == sat
+            moved += len(sat)
+        assert moved >= len(bases)
+        searches.clear()
+        assert in_class(a) and searches == []
 
     def test_thirty_element_path(self, monkeypatch):
         # the branch-and-bound took 15-19 s for closure({0, 1}) here
@@ -514,6 +541,93 @@ class TestFlowAgreesWithEnumeration:
         assert out_of_class >= 10 and checked - out_of_class >= 5
 
 
+def placement_from_scratch(ev, base):
+    """Every unit placed from nothing with `base`'s slots closed: the reference placement."""
+    holders = [[] for _ in ev.cap]
+    placed = [None] * len(ev.units)
+    for x in range(len(ev.units)):
+        predimension._augment(ev, x, base, holders, placed)
+    return holders, placed
+
+
+def assert_valid_placement(ev, base, holders, placed):
+    for x, v in enumerate(placed):
+        assert v is None or v in ev.units[x] and not base >> v & 1
+    assert [sorted(h) for h in holders] == [
+        sorted(x for x, v in enumerate(placed) if v == slot) for slot in range(len(ev.cap))]
+    assert all(len(h) <= c for h, c in zip(holders, ev.cap))
+
+
+def exhaustive_structures():
+    """Every structure up to isomorphism, in class or not, of the small sizes
+    `TestClassVerdict` enumerates; the 31 389 (3,2) clique structures on three
+    elements are left to the seeded families."""
+    for kind, params, max_size in [("nary", P31, 4), ("nary", P42, 3), ("nary", P32, 4),
+                                   ("clique", P21, 4), ("clique", ClassParams(3, 1), 4)]:
+        for size in range(max_size + 1):
+            yield from enumerate_structures(kind, params, size, in_class_only=False)
+
+
+class TestPlacement:
+    """`_placement` re-augments the cached placement for base = ∅ on every base.
+
+    It must place as many units as a placement from nothing with the base's
+    slots closed, and leave the cache as a fresh evaluator builds it.
+    """
+
+    @staticmethod
+    def check_every_base(a):
+        ev = predimension._Evaluator(a)
+        for base in subsets(a.universe):
+            bmask = ev.mask(base)
+            holders, placed = predimension._placement(ev, bmask)
+            assert_valid_placement(ev, bmask, holders, placed)
+            assert placed.count(None) == placement_from_scratch(ev, bmask)[1].count(None)
+        fresh = predimension._Evaluator(a)
+        assert fresh.in_class() == ev.in_class()
+        assert (ev.holders, ev.placed) == (fresh.holders, fresh.placed)
+
+    @SEEDED_KINDS
+    @SEEDED_PARAMS
+    def test_seeded_families(self, kind, n, r):
+        for b in seeded_structures(kind, n, r):
+            self.check_every_base(b)
+
+    def test_exhaustive_families(self):
+        checked = out_of_class = 0
+        for a in exhaustive_structures():
+            self.check_every_base(a)
+            for base in subsets(a.universe):
+                assert predimension.largest_minimiser(a, base) == naive_closure(a, base)
+            checked += 1
+            out_of_class += not in_class(a)
+        assert out_of_class >= 10 and checked - out_of_class >= 1000
+
+    def test_queries_leave_the_cache_as_built(self):
+        rng = random.Random(18)
+        structures = [b for kind in ("nary", "clique") for b in seeded_structures(kind, 3, 1)]
+        structures.append(CliqueStructure.of(P21, range(61), CLIQUE_CHAIN[:30]))
+        structures.append(induced(NaryStructure.of(P31, range(1500), CROWDED_PATH),
+                                  range(730, 770)))
+        moved = 0
+        for b in structures:
+            ev = predimension._evaluator(b)
+            elems = b.sorted_universe()
+            for _ in range(30):
+                base = rng.sample(elems, rng.randint(1, min(5, len(elems))))
+                if in_class(b):
+                    rank(b, base)
+                    closure(b, base)
+                else:
+                    min_predim_over(b, base)
+                    predimension.largest_minimiser(b, base)
+                moved += any(ev.holders[v] for v in predimension._bits(ev.mask(base)))
+            fresh = predimension._Evaluator(b)
+            fresh.in_class()
+            assert (ev.holders, ev.placed) == (fresh.holders, fresh.placed)
+        assert moved > 100
+
+
 def rescan_contract(value, top, base):
     """The contraction as one `value` call per element per round: the reference."""
     while True:
@@ -527,30 +641,62 @@ def rescan_contract(value, top, base):
         top &= ~drop
 
 
+# crowded cuts small enough for the rescan: out of class through the four
+# tuples on {750, 751, 752}, and through the six pairs of {100, 200, 300, 400}
+CROWDED_CUTS = [
+    induced(NaryStructure.of(P31, range(1500), CROWDED_PATH), range(746, 756)),
+    induced(CliqueStructure.of(P21, range(1500), CROWDED_CHAIN),
+            {99, 100, 101, 199, 200, 201, 299, 300, 301, 400}),
+]
+# (3,2) cliques of pairs, where one element lies in up to four members of a
+# clique, so that min(d_K(i), spare) takes each of its branches as `top`
+# shrinks; on base {1, 2, 3, 4}, 0 loses min(2, 1) = 1 unit in the second
+# clique (out of class: 7 elements, clique weights 4 + 1 + 4)
+PAIR_CLIQUES = CliqueStructure.of(P32, range(7), [
+    [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2)],
+    [(0, 3), (0, 4)],
+    [(3, 5), (5, 3), (5, 4), (4, 6), (6, 5)],
+])
+
+
 class TestContraction:
-    """`_contract` reads every marginal off one sweep over the units per round."""
+    """`_contract` finds each round's drops from two saturating masks, `ones` and
+    `twos`, built in one pass over the unit masks inside `top`, and counts the
+    exact losses of the free elements only at the fixpoint.  The reference
+    rescans the predimension once per element per round."""
+
+    @staticmethod
+    def check_every_base(b):
+        ev = predimension._Evaluator(b)
+        scale = ev.nbits + 1
+        tilted = lambda m: scale * ev.value(m) + m.bit_count()
+        values = {x: naive_predim(b, x) for x in subsets(b.universe)}
+        for base in values:
+            bmask = ev.mask(base)
+            top, lost = predimension._contract(ev, bmask)
+            assert top == rescan_contract(ev.value, ev.full, bmask)
+            assert top == rescan_contract(tilted, ev.full, bmask)
+            assert sorted(lost) == predimension._bits(top & ~bmask)
+            for e in predimension._bits(top & ~bmask):
+                assert 1 - lost[e] == ev.value(top) - ev.value(top & ~(1 << e))
+            # naive_strong_hull, read off the table: an element of the
+            # least minimiser has a negative marginal in every superset
+            supersets = [base | extra for extra in subsets(b.universe - base)]
+            least = min(values[x] for x in supersets)
+            hull = frozenset.intersection(*(x for x in supersets if values[x] == least))
+            assert hull <= ev.unmask(top)
 
     @SEEDED_KINDS
     @SEEDED_PARAMS
     def test_matches_the_rescan_on_every_base(self, kind, n, r):
         for b in seeded_structures(kind, n, r):
-            ev = predimension._Evaluator(b)
-            scale = ev.nbits + 1
-            tilted = lambda m: scale * ev.value(m) + m.bit_count()
-            values = {x: naive_predim(b, x) for x in subsets(b.universe)}
-            for base in values:
-                bmask = ev.mask(base)
-                top, lost = predimension._contract(ev, bmask)
-                assert top == rescan_contract(ev.value, ev.full, bmask)
-                assert top == rescan_contract(tilted, ev.full, bmask)
-                for e in predimension._bits(top & ~bmask):
-                    assert 1 - lost[e] == ev.value(top) - ev.value(top & ~(1 << e))
-                # naive_strong_hull, read off the table: an element of the
-                # least minimiser has a negative marginal in every superset
-                supersets = [base | extra for extra in subsets(b.universe - base)]
-                least = min(values[x] for x in supersets)
-                hull = frozenset.intersection(*(x for x in supersets if values[x] == least))
-                assert hull <= ev.unmask(top)
+            self.check_every_base(b)
+
+    @pytest.mark.parametrize("b", CROWDED_CUTS + [PAIR_CLIQUES],
+                             ids=["crowded-path", "crowded-chain", "pair-cliques"])
+    def test_crowded_cuts_and_pair_cliques(self, b):
+        assert not validate(b)
+        self.check_every_base(b)
 
     def test_makes_no_value_call(self, monkeypatch):
         calls = []

@@ -56,7 +56,7 @@ class TestClosure:
 
     def test_one_search_per_closure(self, monkeypatch):
         a = grow(GrowthSchedule("nary", P31, 12, 3, 0)).final
-        assert in_class(a)  # warms the evaluator and its class verdict
+        assert in_class(a)  # warms the evaluator and its placement for base = ∅
         inner = predimension._min_over
         calls = []
 
