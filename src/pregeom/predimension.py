@@ -289,7 +289,7 @@ def _contract(ev: _Evaluator, base: int) -> tuple[int, dict[int, int]]:
         else:
             spares = []
             for kmasks in ev.cliques:
-                # c members inside top; `one` and `two` hold the elements in one and in two of them
+                # c members inside top; `one`, `two`: the elements in at least one, two of them
                 c = one = two = 0
                 for tm in kmasks:
                     if tm & top == tm:

@@ -45,7 +45,7 @@ def max_ground_cap() -> int:
 
 
 def _require_in_class(struct: Structure) -> None:
-    # the verdict is kept on the cached evaluator, shared with predimension.in_class
+    # decided once per cached evaluator, by its placement for base = ∅ (predimension.in_class)
     if not _evaluator(struct).in_class():
         raise DomainError("structure is not in its class (some subset has negative predimension)")
 

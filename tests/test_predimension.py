@@ -392,7 +392,7 @@ CROWDED_CHAIN = CLIQUE_CHAIN[:-3] + [[(x,), (y,)] for x, y in
 
 class TestClassVerdictAtScale:
     """1500-element inputs, where the subset search's contraction drops about one element
-    per round, each round one sweep over the tuples or cliques."""
+    per round, each round one pass over the unit masks."""
 
     def test_tuple_path(self, monkeypatch):
         calls = counted_searches(monkeypatch)
@@ -650,12 +650,14 @@ CROWDED_CUTS = [
 ]
 # (3,2) cliques of pairs, where one element lies in up to four members of a
 # clique, so that min(d_K(i), spare) takes each of its branches as `top`
-# shrinks; on base {1, 2, 3, 4}, 0 loses min(2, 1) = 1 unit in the second
-# clique (out of class: 7 elements, clique weights 4 + 1 + 4)
-PAIR_CLIQUES = CliqueStructure.of(P32, range(7), [
+# shrinks: on base {1, 2, 3, 4}, 0 loses min(2, 1) = 1 unit in the second
+# clique, and 7 lies in both members of the last one, with spare 1, so it
+# loses one unit and is dropped (out of class: 8 elements, weights 4 + 1 + 4 + 1)
+PAIR_CLIQUES = CliqueStructure.of(P32, range(8), [
     [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2)],
     [(0, 3), (0, 4)],
     [(3, 5), (5, 3), (5, 4), (4, 6), (6, 5)],
+    [(7, 5), (7, 6)],
 ])
 
 
