@@ -1,10 +1,12 @@
 """Naive full-enumeration oracles, kept deliberately independent of the package internals.
 
 Everything here works on plain sets and itertools, with no bitmasks, no
-pruning and no caching, so the branch-and-bound implementations have an
-honest reference to agree with bit-for-bit.  The acceptance suite and the
-tests both check against this module; it imports nothing from the package
-but the structure types.
+pruning and no caching, so the package's kernels have an honest reference to
+agree with bit-for-bit: the unit-placement flow (`predimension._placement`),
+behind class membership, rank and closure, and the branch-and-bound
+(`predimension._min_over`), behind strongness, the strong hull and the strong
+witness.  The acceptance suite and the tests both check against this
+module; it imports nothing from the package but the structure types.
 """
 
 import itertools

@@ -1,8 +1,13 @@
 """Predimension functions, relative predimension and self-sufficiency.
 
-Tuple structures: predim = |A| - |R^A|.  Clique structures: predim =
-|A| - sum over maximal cliques of max(0, |K| - (s - 1)).  All arithmetic is
-exact integers.
+The members of a structure's relation fall into groups that share one
+threshold t, and
+
+    predim(A) = |A| - sum over the groups of max(0, c - t),
+
+with c the group's members inside A.  A tuple structure is one group, all its
+tuples, with t = 0, so predim(A) = |A| - |R^A|; a clique structure has one
+group per maximal clique, with t = s - 1.  All arithmetic is exact integers.
 
 Class membership (the empty set is self-sufficient), the dimension
 min_predim_over(B) and its largest minimiser (the closure of B) come from one
@@ -11,9 +16,8 @@ evaluator keeps the maximum placement for B = ∅, which decides membership;
 for a base B, `_placement` unplaces only the units on B's element slots, at
 most |B|, and re-augments just those (the proof is in its docstring).
 Self-sufficiency of a base, the strong hull and the strong witness still run
-the branch-and-bound `_min_over`.  The two predimension functions are
-submodular on valid inputs, and the branch-and-bound relies on that in two
-ways:
+the branch-and-bound `_min_over`.  The predimension is submodular on valid
+inputs, and the branch-and-bound relies on that in two ways:
 
   * contraction: an element whose marginal w.r.t. the current upper set is
     non-negative can be discarded from every minimiser (its marginal only
@@ -64,14 +68,21 @@ def clique_weight(members, s: int) -> int:
 class _Evaluator:
     """Predimension of induced substructures, evaluated on element bitmasks.
 
-    Also the indexes the kernels read: `units` (the slots each unit may use,
-    `_placement`), `users` (the units that may use each slot), `incidence`
-    (the unit masks through each element, `_contract`), and the cached
-    maximum placement with no slot closed (`holders`, `placed`).
+    `groups` holds each group's member masks and `t` the threshold they
+    share (see the module docstring); the structure's kind is read here and
+    nowhere else.  Each member carries one unit, in group order.  Slots
+    0..n−1 are the elements, of capacity 1, and n + k is group k's slot, of
+    capacity t: 0 for the tuple relation, so that slot never holds a unit.
+    Also the indexes the kernels read: `units` (the slots each unit may use:
+    its member's elements, then its group's slot; `_placement`), `cap`,
+    `users` (the units that may use each slot), `incidence` (per element,
+    the groups through it, each with its member masks that contain the
+    element; `_contract`), and the cached maximum placement with no slot
+    closed (`holders`, `placed`).
     """
 
-    __slots__ = ("elems", "index", "nbits", "full", "rel_masks", "cliques", "s", "units",
-                 "cap", "users", "incidence", "holders", "placed")
+    __slots__ = ("elems", "index", "nbits", "full", "groups", "t", "units", "cap",
+                 "users", "incidence", "holders", "placed")
 
     def __init__(self, struct: Structure):
         report = validate(struct)
@@ -81,32 +92,25 @@ class _Evaluator:
         self.index = {e: i for i, e in enumerate(self.elems)}
         self.nbits = n = len(self.elems)
         self.full = (1 << n) - 1
-        self.incidence = [[] for _ in range(n)]
         if isinstance(struct, NaryStructure):
-            self.rel_masks = [self._mask_of(t) for t in sorted(struct.relation)]
-            self.cliques = self.s = None
-            self.units = [_bits(tm) for tm in self.rel_masks]
-            for tm, unit in zip(self.rel_masks, self.units):
-                for i in unit:
-                    self.incidence[i].append(tm)
-            self.cap = [1] * n
+            self.t, groups = 0, [sorted(struct.relation)]
         else:
-            # distinct member tuples may share a support mask; count tuples, not masks
-            self.s = struct.params.s
-            self.cliques = [[self._mask_of(t) for t in sorted(k)]
-                            for k in sorted(struct.maxcliques, key=lambda k: sorted(k))]
-            self.rel_masks = None
-            self.units = []
-            for k, kmasks in enumerate(self.cliques):
-                through = {}  # element -> the masks of this clique's members that contain it
-                for tm in kmasks:
-                    bits = _bits(tm)
-                    self.units.append(bits + [n + k])
-                    for i in bits:
-                        through.setdefault(i, []).append(tm)
-                for i, masks in through.items():
-                    self.incidence[i].append((k, masks))
-            self.cap = [1] * n + [self.s - 1] * len(self.cliques)
+            self.t = struct.params.s - 1
+            groups = [sorted(k) for k in sorted(struct.maxcliques, key=sorted)]
+        # distinct member tuples may share a support mask; count tuples, not masks
+        self.groups = [[self._mask_of(m) for m in g] for g in groups]
+        self.units = []
+        self.incidence = [[] for _ in range(n)]
+        for k, group in enumerate(self.groups):
+            through = {}  # element -> the masks of this group's members that contain it
+            for tm in group:
+                bits = _bits(tm)
+                self.units.append(bits + [n + k])
+                for i in bits:
+                    through.setdefault(i, []).append(tm)
+            for i, masks in through.items():
+                self.incidence[i].append((k, masks))
+        self.cap = [1] * n + [self.t] * len(self.groups)
         self.users = [[] for _ in self.cap]
         for x, unit in enumerate(self.units):
             for v in unit:
@@ -131,23 +135,16 @@ class _Evaluator:
         return frozenset(self.elems[i] for i in _bits(mask))
 
     def value(self, mask: int) -> int:
-        size = mask.bit_count()
-        if self.rel_masks is not None:
-            hits = 0
-            for tm in self.rel_masks:
-                if tm & mask == tm:
-                    hits += 1
-            return size - hits
         total = 0
-        s1 = self.s - 1
-        for kmasks in self.cliques:
-            cnt = 0
-            for tm in kmasks:
+        t = self.t
+        for group in self.groups:
+            c = 0
+            for tm in group:
                 if tm & mask == tm:
-                    cnt += 1
-            if cnt > s1:
-                total += cnt - s1
-        return size - total
+                    c += 1
+            if c > t:
+                total += c - t
+        return mask.bit_count() - total
 
     def in_class(self) -> bool:
         """Whether the empty set is self-sufficient: every unit is placed at base ∅.
@@ -215,13 +212,12 @@ def _augment(ev: _Evaluator, unit: int, base: int, holders: list, placed: list) 
 def _placement(ev: _Evaluator, base: int) -> tuple[list, list]:
     """A maximum placement of the members' units on Picard's closure network.
 
-    Every member (a relation tuple, or one member tuple of one maxclique)
-    carries one unit.  It may place it on one of its own elements outside
-    `base`, each taking one unit, or, in the clique class, on its own
-    maxclique, which takes s − 1 (`ev.cap`).  Slots 0..n−1 are the elements,
-    n + k the k-th maxclique; `base`'s element slots are closed.  Returns
-    (holders, placed): the units on each slot and each unit's slot (None
-    when unplaced).
+    Every member of a group carries one unit.  It may place it on one of its
+    own elements outside `base`, each taking one unit, or on its group's
+    slot, which takes t (`ev.cap`; none for the tuple relation, where t = 0).
+    Slots 0..n−1 are the elements, n + k group k's; `base`'s element slots
+    are closed.  Returns (holders, placed): the units on each slot and each
+    unit's slot (None when unplaced).
 
     The evaluator keeps a maximum placement for base = ∅, built by
     `in_class` one unit at a time, each by one augmenting search
@@ -240,10 +236,10 @@ def _placement(ev: _Evaluator, base: int) -> tuple[list, list]:
     read, are those of a placement from nothing.
 
     With base = ∅ every unit is placed exactly when the structure is in
-    class: a set M of members whose elements and cliques take fewer than |M|
-    units gives predim(X) < 0 for the elements X of M, and the members inside
-    a violator X of the cliques that count in X are such an M (for tuples,
-    Hall's condition).
+    class: a set M of members whose elements and group slots take fewer than
+    |M| units gives predim(X) < 0 for the elements X of M, and the members
+    inside a violator X of the groups that count in X (more than t members
+    inside) are such an M.  With t = 0 this is Hall's condition.
     """
     ev.in_class()  # builds the placement for base = ∅ on the first call
     holders = list(map(list.copy, ev.holders))  # copies: the cache stays the placement for ∅
@@ -263,47 +259,42 @@ def _contract(ev: _Evaluator, base: int) -> tuple[int, dict[int, int]]:
     """Shrink the universe to a fixpoint `top` and count its free elements' lost units.
 
     Dropping element i from `top` loses lost[i] units, so its marginal is
-    1 − lost[i]: a tuple inside `top` containing i, or, for a maxclique K
-    with c_K members inside `top` of which d_K(i) contain i,
-    min(d_K(i), max(0, c_K − (s − 1))).  Each round drops every element
-    outside `base` that loses at most one unit, so it needs only the set of
-    elements that lose two or more.  One pass over the unit masks inside
-    `top` keeps two saturating masks, `ones` and `twos`, of the elements
-    that lose at least one and at least two units.  A tuple adds its mask.
-    A maxclique with spare = c_K − (s − 1) >= 2 adds each inside member's
-    mask, since then min(d_K(i), spare) >= 2 exactly when d_K(i) >= 2; with
-    spare = 1 it adds the union of those masks once, as each element in it
-    loses exactly one unit there; with spare <= 0 it adds nothing.  Only at
-    the fixpoint are the exact counts taken, for the free elements
-    (`top` − `base`) alone, from the evaluator's element-to-unit incidence
-    index.  Returns (top, lost), lost keyed by the free elements' indices.
+    1 − lost[i]: the sum over the groups of min(d(i), max(0, c − t)), where
+    c of the group's members lie inside `top` and d(i) of those contain i.
+    (For the tuple relation t = 0 and d(i) <= c, so that is d(i), the tuples
+    inside `top` containing i.)  Each round drops every element outside
+    `base` that loses at most one unit, so it needs only the set of elements
+    that lose two or more.  One pass over the member masks inside `top`
+    keeps two saturating masks, `ones` and `twos`, of the elements that lose
+    at least one and at least two units.  A group with spare = c − t >= 2
+    adds each inside member's mask, since then min(d(i), spare) >= 2 exactly
+    when d(i) >= 2; with spare = 1 it adds the union of those masks once, as
+    each element in it loses exactly one unit there; with spare <= 0 it adds
+    nothing.  Only at the fixpoint are the exact counts taken, for the free
+    elements (`top` − `base`) alone, from the evaluator's element-to-group
+    incidence index.  Returns (top, lost), lost keyed by the free elements'
+    indices.
     """
     top = ev.full
     while True:
         ones = twos = 0
-        if ev.cliques is None:
-            for tm in ev.rel_masks:
+        spares = []
+        for group in ev.groups:
+            # c members inside top; `one`, `two`: the elements in at least one, two of them
+            c = one = two = 0
+            for tm in group:
                 if tm & top == tm:
-                    twos |= ones & tm
-                    ones |= tm
-        else:
-            spares = []
-            for kmasks in ev.cliques:
-                # c members inside top; `one`, `two`: the elements in at least one, two of them
-                c = one = two = 0
-                for tm in kmasks:
-                    if tm & top == tm:
-                        c += 1
-                        two |= one & tm
-                        one |= tm
-                spare = c - (ev.s - 1)
-                spares.append(spare)
-                if spare >= 2:
-                    twos |= two | ones & one
-                    ones |= one
-                elif spare == 1:
-                    twos |= ones & one
-                    ones |= one
+                    c += 1
+                    two |= one & tm
+                    one |= tm
+            spare = c - ev.t
+            spares.append(spare)
+            if spare >= 2:
+                twos |= two | ones & one
+                ones |= one
+            elif spare == 1:
+                twos |= ones & one
+                ones |= one
         drop = top & ~base & ~twos
         if not drop:
             break
@@ -311,18 +302,13 @@ def _contract(ev: _Evaluator, base: int) -> tuple[int, dict[int, int]]:
     lost = {}
     for i in _bits(top & ~base):
         total = 0
-        if ev.cliques is None:
-            for tm in ev.incidence[i]:
-                if tm & top == tm:
-                    total += 1
-        else:
-            for k, masks in ev.incidence[i]:
-                if spares[k] > 0:
-                    d = 0
-                    for tm in masks:
-                        if tm & top == tm:
-                            d += 1
-                    total += min(d, spares[k])
+        for k, masks in ev.incidence[i]:
+            if spares[k] > 0:
+                d = 0
+                for tm in masks:
+                    if tm & top == tm:
+                        d += 1
+                total += min(d, spares[k])
         lost[i] = total
     return top, lost
 
@@ -388,14 +374,15 @@ def min_predim_over(a: Structure, base: Iterable[int]) -> int:
     deficiency form.  For a set T of units let c(T) be the capacity of the
     slots they may use.  Each placed unit of T sits on one of those slots, so
     |T| − c(T) <= |M| − ν_B.
-      (>=) For X >= B let T be the units that count in X: the tuples inside
-      X, or the members inside X of the cliques with more than s − 1 of them.
-      Then predim(X) = |X| − |T| + (s − 1)·#cliques of T >= |B| + c(T) − |T|
-      >= |B| − |M| + ν_B, since the slot elements of T lie in X − B.
+      (>=) For X >= B let T be the units that count in X: the members
+      inside X of the groups with more than t of them.  Then predim(X) =
+      |X| − |T| + t·#groups of T >= |B| + c(T) − |T| >= |B| − |M| + ν_B,
+      since the open element slots of T lie in X − B.
       (<=) Let T be the units that an unplaced unit reaches by alternating
       paths (unit, a slot it may use, a unit on that slot).  Their slots are
       full and hold only units of T, so |T| − c(T) = |M| − ν_B, and X = B
-      plus those slots' elements has predim(X) <= |B| + c(T) − |T|.
+      plus those slots' elements holds every member of T, so predim(X) <=
+      |X| − |T| + t·#groups of T <= |B| + c(T) − |T|.
     ν_B is the same for every maximum placement, so it may be read off the
     one `_placement` re-augments from the cached placement for ∅: the units
     left unplaced at ∅ stay unplaced, and by Berge's theorem no unplaced
@@ -413,7 +400,8 @@ def largest_minimiser(a: Structure, base: Iterable[int]) -> frozenset[int]:
     Equality in min_predim_over's (>=) chain makes X − B the slot elements of
     T and fills their slots with units of T, in any maximum placement; so no
     minimiser holds an element whose slot some maximum placement leaves
-    spare.  Those slots are found by one reverse search from the spare
+    spare.  (A group slot of capacity 0, the tuple relation's, is full in
+    every placement, and only element slots are read.)  Those slots are found by one reverse search from the spare
     slots: a unit that may move onto a slot that can be freed frees the slot
     it holds.  The units on the slots that cannot be freed, with the
     unplaced ones, may use only those slots (else a slot could be freed or a

@@ -91,7 +91,7 @@ def _bounded_strong(m: NaryStructure, x: frozenset[int]) -> bool:
     s = m.params.s
     xmask = ev.mask(x)
     parts: dict[int, int] = {}
-    for tm in ev.rel_masks:
+    for tm in ev.groups[0]:
         part = tm & ~xmask
         if 0 < part.bit_count() <= s:
             parts[part] = parts.get(part, 0) + 1

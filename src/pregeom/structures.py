@@ -221,9 +221,13 @@ def _encode_clique(a: CliqueStructure, pos: dict[int, int]):
 def canonical_key(a: Structure, subset: Optional[frozenset[int]] = None):
     """Lexicographically least relational encoding over all universe orderings.
 
-    With `subset`, canonicalises the pair (structure, marked subset).  Only
-    meant for small structures; the search is factorial in the universe.
+    With `subset`, canonicalises the pair (structure, marked subset), which
+    must lie in the universe.  Only meant for small structures; the search is
+    factorial in the universe.
     """
+    if subset is not None and not a.universe.issuperset(subset):
+        stray = sorted(set(subset) - a.universe)
+        raise DomainError(f"subset {stray} is not contained in the universe")
     elems = a.sorted_universe()
     m = len(elems)
     encode = _encode_nary if isinstance(a, NaryStructure) else _encode_clique

@@ -15,6 +15,7 @@ from pregeom.gen import (random_clique, random_clique_in_class, random_nary,
                          random_nary_in_class, random_subset)
 from pregeom.oracles import (naive_closure, naive_is_strong, naive_min_over, naive_predim,
                              naive_strong_hull, naive_strong_witness, subsets)
+from pregeom.pregeometry import _predim_table
 from pregeom.structures import validate
 
 P31 = ClassParams(3, 1)
@@ -541,6 +542,16 @@ class TestFlowAgreesWithEnumeration:
         assert out_of_class >= 10 and checked - out_of_class >= 5
 
 
+# the degenerate groups: the tuple relation as one empty group, a clique
+# structure with no group, and one tuple
+DEGENERATE = [
+    NaryStructure.of(P31, range(4), []),
+    CliqueStructure.of(P32, range(4), []),
+    NaryStructure.of(P31, range(4), [(2, 0, 3)]),
+]
+DEGENERATE_IDS = ["empty-relation", "no-clique", "one-tuple"]
+
+
 def placement_from_scratch(ev, base):
     """Every unit placed from nothing with `base`'s slots closed: the reference placement."""
     holders = [[] for _ in ev.cap]
@@ -595,7 +606,7 @@ class TestPlacement:
 
     def test_exhaustive_families(self):
         checked = out_of_class = 0
-        for a in exhaustive_structures():
+        for a in itertools.chain(exhaustive_structures(), DEGENERATE):
             self.check_every_base(a)
             for base in subsets(a.universe):
                 assert predimension.largest_minimiser(a, base) == naive_closure(a, base)
@@ -659,6 +670,31 @@ PAIR_CLIQUES = CliqueStructure.of(P32, range(8), [
     [(3, 5), (5, 3), (5, 4), (4, 6), (6, 5)],
     [(7, 5), (7, 6)],
 ])
+SMALL_CASES = pytest.mark.parametrize(
+    "b", CROWDED_CUTS + [PAIR_CLIQUES] + DEGENERATE,
+    ids=["crowded-path", "crowded-chain", "pair-cliques"] + DEGENERATE_IDS)
+
+
+class TestValue:
+    """`_Evaluator.value`, one loop over the groups for both kinds, against the
+    naive predimension on every mask; `_predim_table` is that list."""
+
+    @staticmethod
+    def check_every_mask(b):
+        ev = predimension._Evaluator(b)
+        naive = [naive_predim(b, ev.unmask(m)) for m in range(1 << ev.nbits)]
+        assert [ev.value(m) for m in range(1 << ev.nbits)] == naive
+        assert _predim_table(ev) == naive
+
+    @SEEDED_KINDS
+    @SEEDED_PARAMS
+    def test_seeded_families(self, kind, n, r):
+        for b in seeded_structures(kind, n, r):
+            self.check_every_mask(b)
+
+    @SMALL_CASES
+    def test_crowded_cuts_and_pair_cliques(self, b):
+        self.check_every_mask(b)
 
 
 class TestContraction:
@@ -694,8 +730,7 @@ class TestContraction:
         for b in seeded_structures(kind, n, r):
             self.check_every_base(b)
 
-    @pytest.mark.parametrize("b", CROWDED_CUTS + [PAIR_CLIQUES],
-                             ids=["crowded-path", "crowded-chain", "pair-cliques"])
+    @SMALL_CASES
     def test_crowded_cuts_and_pair_cliques(self, b):
         assert not validate(b)
         self.check_every_base(b)

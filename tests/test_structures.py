@@ -198,3 +198,11 @@ class TestCanonicalKey:
     def test_pair_marking_matters(self):
         a = nary([0, 1, 2], [(0, 1, 2)])
         assert canonical_key(a, frozenset({0})) != canonical_key(a, frozenset({2}))
+
+    @pytest.mark.parametrize("a", [nary([0, 1, 2], [(0, 1, 2)]), clq([0, 1, 2], [[(0,), (1,)]])],
+                             ids=["nary", "clique"])
+    def test_marked_subset_outside_the_universe(self, a):
+        with pytest.raises(DomainError, match=r"\[7\] is not contained"):
+            canonical_key(a, frozenset({7}))
+        with pytest.raises(DomainError):
+            canonical_key(a, frozenset({0, 7}))
