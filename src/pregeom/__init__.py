@@ -14,9 +14,8 @@ from .generic import (Chain, GrowthSchedule, enumerate_extension_pairs,
 from .geometry import (BackAndForthResult, PartialPgIso, back_and_forth,
                        clique_to_nary, nary_to_clique, remove_pathologies,
                        verify_partial_pg_iso)
-from .predimension import (StrongWitness, check_strong, clique_weight,
-                           in_class, is_strong, min_predim_over, predim,
-                           predim_rel, strong_hull)
+from .predimension import (StrongWitness, check_strong, in_class, is_strong,
+                           min_predim_over, predim, predim_rel, strong_hull)
 from .pregeometry import (Pregeometry, closure, pg_isomorphic,
                           pregeometry_of, rank, same_pregeometry)
 from .reduct import (ReductCertificate, clique_certificate, lift, reduct_of,
@@ -34,7 +33,7 @@ __all__ = [
     "Embedding", "FormatError", "GadgetEntry", "GadgetReport", "GrowthSchedule",
     "NaryStructure", "PartialPgIso", "Pregeometry", "ReductCertificate",
     "StrongWitness", "back_and_forth", "canonical_key", "check_strong",
-    "clique_certificate", "clique_to_nary", "clique_weight", "closure",
+    "clique_certificate", "clique_to_nary", "closure",
     "enumerate_extension_pairs", "enumerate_structures", "extend_clique",
     "free_amalgam", "genericity_check", "grow", "in_class", "induced",
     "induced_clique", "induced_nary", "is_strong", "isomorphic_over",

@@ -11,10 +11,16 @@ group per maximal clique, with t = s - 1.  All arithmetic is exact integers.
 
 Class membership (the empty set is self-sufficient), the dimension
 min_predim_over(B) and its largest minimiser (the closure of B) come from one
-max-flow, `_placement`, in time polynomial in the size of the structure.  The
-evaluator keeps the maximum placement for B = ∅, which decides membership;
-for a base B, `_placement` unplaces only the units on B's element slots, at
-most |B|, and re-augments just those (the proof is in its docstring).
+bipartite matching, `_placement`, in time polynomial in the size of the
+structure.  Each member carries one unit, and each slot holds at most one:
+the elements, and group k's t slots (the tuple relation, t = 0, has none).
+Those are the block w_K of s − 1 imaginary elements that the paper's
+construction gives a maxclique K: turning each member x of K into the tuple
+w_K + x makes a tuple structure T_C whose class, dimension and closure on the
+real elements are those of C.  The evaluator keeps the maximum matching for
+B = ∅, which decides membership; for a base B, `_placement` unplaces only the
+units on B's element slots, at most |B|, and re-augments just those (the
+proof is in its docstring).
 Self-sufficiency of a base, the strong hull and the strong witness still run
 the branch-and-bound `_min_over`.  The predimension is submodular on valid
 inputs, and the branch-and-bound relies on that in two ways:
@@ -54,35 +60,25 @@ from .errors import DomainError
 from .structures import NaryStructure, Structure, validate
 
 
-def clique_weight(members, s: int) -> int:
-    """Contribution of a clique at threshold s: max(0, |members| - (s - 1)).
-
-    Accepts the member set itself or its cardinality.
-    """
-    if s < 2:
-        raise DomainError(f"threshold s must be >= 2, got {s}")
-    size = members if isinstance(members, int) else len(members)
-    return max(0, size - (s - 1))
-
-
 class _Evaluator:
     """Predimension of induced substructures, evaluated on element bitmasks.
 
     `groups` holds each group's member masks and `t` the threshold they
     share (see the module docstring); the structure's kind is read here and
-    nowhere else.  Each member carries one unit, in group order.  Slots
-    0..n−1 are the elements, of capacity 1, and n + k is group k's slot, of
-    capacity t: 0 for the tuple relation, so that slot never holds a unit.
-    Also the indexes the kernels read: `units` (the slots each unit may use:
-    its member's elements, then its group's slot; `_placement`), `cap`,
-    `users` (the units that may use each slot), `incidence` (per element,
-    the groups through it, each with its member masks that contain the
-    element; `_contract`), and the cached maximum placement with no slot
-    closed (`holders`, `placed`).
+    nowhere else.  Each member carries one unit, in group order, and every
+    slot holds at most one unit.  Slots 0..n−1 are the elements, and
+    n + k·t .. n + (k+1)·t − 1 are group k's, its maxclique's block w_K; the
+    tuple relation, with t = 0, has none.  Also the indexes the kernels
+    read: `units` (the slots each unit may use: its member's elements, then
+    its group's slots; `_placement`), `users` (the units that may use each
+    slot; a block's slots share one list), `incidence` (per element, the groups through it, each with its
+    member masks that contain the element; `_contract`), and the cached
+    maximum placement with no slot closed (`owner`, each slot's unit or
+    None, and `placed`, each unit's slot or None).
     """
 
-    __slots__ = ("elems", "index", "nbits", "full", "groups", "t", "units", "cap",
-                 "users", "incidence", "holders", "placed")
+    __slots__ = ("elems", "index", "nbits", "full", "groups", "t", "units", "users",
+                 "incidence", "owner", "placed")
 
     def __init__(self, struct: Structure):
         report = validate(struct)
@@ -100,22 +96,22 @@ class _Evaluator:
         # distinct member tuples may share a support mask; count tuples, not masks
         self.groups = [[self._mask_of(m) for m in g] for g in groups]
         self.units = []
+        self.users = [[] for _ in range(n)]
         self.incidence = [[] for _ in range(n)]
         for k, group in enumerate(self.groups):
+            block = list(range(n + k * self.t, n + (k + 1) * self.t))  # group k's slots: w_K
+            members = list(range(len(self.units), len(self.units) + len(group)))
+            self.users += [members] * self.t  # one list, shared by the block's slots
             through = {}  # element -> the masks of this group's members that contain it
-            for tm in group:
+            for x, tm in zip(members, group):
                 bits = _bits(tm)
-                self.units.append(bits + [n + k])
+                self.units.append(bits + block)
                 for i in bits:
+                    self.users[i].append(x)
                     through.setdefault(i, []).append(tm)
             for i, masks in through.items():
                 self.incidence[i].append((k, masks))
-        self.cap = [1] * n + [self.t] * len(self.groups)
-        self.users = [[] for _ in self.cap]
-        for x, unit in enumerate(self.units):
-            for v in unit:
-                self.users[v].append(x)
-        self.holders = self.placed = None  # filled by in_class()
+        self.owner = self.placed = None  # filled by in_class()
 
     def _mask_of(self, t) -> int:
         m = 0
@@ -153,10 +149,10 @@ class _Evaluator:
         which `_placement` then re-augments for each base.
         """
         if self.placed is None:
-            self.holders = [[] for _ in self.cap]
+            self.owner = [None] * len(self.users)
             self.placed = [None] * len(self.units)
             for x in range(len(self.units)):
-                _augment(self, x, 0, self.holders, self.placed)
+                _augment(self, x, 0, self.owner, self.placed)
         return None not in self.placed
 
 
@@ -175,12 +171,13 @@ def _evaluator(struct: Structure) -> _Evaluator:
     return _Evaluator(struct)
 
 
-def _augment(ev: _Evaluator, unit: int, base: int, holders: list, placed: list) -> None:
+def _augment(ev: _Evaluator, unit: int, base: int, owner: list, placed: list) -> None:
     """Place `unit` by one breadth-first augmenting-path search that skips `base`'s slots.
 
-    Each unit on the path found moves to the slot after it.  When no path
-    reaches a slot with spare capacity nothing changes, and the unit stays
-    unplaced.
+    The search alternates a unit, a slot it may use and that slot's owner.
+    Each unit on the path found moves to the slot after it, which frees the
+    slot it held for the unit before it.  When no path reaches an empty slot
+    nothing changes, and the unit stays unplaced.
     """
     # a placed unit is queued only through its own slot, and each slot is reached once
     reached = {}  # slot -> the unit whose search reached it
@@ -194,30 +191,30 @@ def _augment(ev: _Evaluator, unit: int, base: int, holders: list, placed: list) 
             if v in reached or base >> v & 1:
                 continue
             reached[v] = x
-            if len(holders[v]) < ev.cap[v]:
+            if owner[v] is None:
                 free = v
                 break
-            queue.extend(holders[v])
+            queue.append(owner[v])
     v = free
     while v is not None:  # move each unit on the path to the slot after it
         x = reached[v]
         old = placed[x]
         placed[x] = v
-        holders[v].append(x)
-        if old is not None:
-            holders[old].remove(x)
+        owner[v] = x
         v = old
 
 
 def _placement(ev: _Evaluator, base: int) -> tuple[list, list]:
-    """A maximum placement of the members' units on Picard's closure network.
+    """A maximum matching of the members' units to slots, one unit per slot.
 
     Every member of a group carries one unit.  It may place it on one of its
-    own elements outside `base`, each taking one unit, or on its group's
-    slot, which takes t (`ev.cap`; none for the tuple relation, where t = 0).
-    Slots 0..n−1 are the elements, n + k group k's; `base`'s element slots
-    are closed.  Returns (holders, placed): the units on each slot and each
-    unit's slot (None when unplaced).
+    own elements outside `base` or on one of its group's t slots, the block
+    w_K (none for the tuple relation, where t = 0).  These t slots carry
+    what Picard's closure network gives the group as one node of capacity
+    t, so the matching is that network's maximum flow.  Slots 0..n−1 are
+    the elements, and n + k·t .. n + (k+1)·t − 1 group k's; `base`'s element
+    slots are closed.  Returns (owner, placed): each slot's unit and each
+    unit's slot (None when empty or unplaced).
 
     The evaluator keeps a maximum placement for base = ∅, built by
     `in_class` one unit at a time, each by one augmenting search
@@ -228,7 +225,7 @@ def _placement(ev: _Evaluator, base: int) -> tuple[list, list]:
     placement is copied, the units on B's element slots (at most |B|) are
     unplaced, and just those are re-augmented with B's slots closed.  A unit
     left unplaced at ∅ stays unplaced: before the re-augmentation every
-    open slot has the same holders as in the ∅ placement, so an augmenting
+    open slot has the same owner as in the ∅ placement, so an augmenting
     path for that unit, which avoids B's slots, would also have augmented
     the ∅ placement; and the re-augmentations open none.  By Berge's theorem
     the result is maximum, so ν_B and the slots full in every maximum
@@ -236,23 +233,21 @@ def _placement(ev: _Evaluator, base: int) -> tuple[list, list]:
     read, are those of a placement from nothing.
 
     With base = ∅ every unit is placed exactly when the structure is in
-    class: a set M of members whose elements and group slots take fewer than
-    |M| units gives predim(X) < 0 for the elements X of M, and the members
+    class, by Hall's theorem: a set M of units that may use fewer than |M|
+    slots gives predim(X) < 0 for the elements X of M, and the members
     inside a violator X of the groups that count in X (more than t members
-    inside) are such an M.  With t = 0 this is Hall's condition.
+    inside) are such an M.
     """
     ev.in_class()  # builds the placement for base = ∅ on the first call
-    holders = list(map(list.copy, ev.holders))  # copies: the cache stays the placement for ∅
+    owner = ev.owner[:]  # copies: the cache stays the placement for ∅
     placed = ev.placed[:]
-    moved = []
-    for v in _bits(base):
-        moved += holders[v]
-        holders[v] = []
+    moved = [owner[v] for v in _bits(base) if owner[v] is not None]
     for x in moved:
+        owner[placed[x]] = None
         placed[x] = None
     for x in moved:
-        _augment(ev, x, base, holders, placed)
-    return holders, placed
+        _augment(ev, x, base, owner, placed)
+    return owner, placed
 
 
 def _contract(ev: _Evaluator, base: int) -> tuple[int, dict[int, int]]:
@@ -369,20 +364,22 @@ def predim_rel(a: Structure, part: Iterable[int], base: Iterable[int]) -> int:
 def min_predim_over(a: Structure, base: Iterable[int]) -> int:
     """min { predim(X) : base <= X <= universe }, the dimension of `base` when a is in class.
 
-    It is |B| − |M| + ν_B, where M is the set of units and ν_B the number a
-    maximum placement with B's elements closed places (`_placement`): Hall's
-    deficiency form.  For a set T of units let c(T) be the capacity of the
-    slots they may use.  Each placed unit of T sits on one of those slots, so
-    |T| − c(T) <= |M| − ν_B.
+    It is |B| − |M| + ν_B, where M is the set of units and ν_B the size of a
+    maximum matching with B's elements closed (`_placement`): Ore's
+    deficiency form of Hall's theorem.  For a set T of units let c(T) be the
+    number of open slots they may use: their members' elements outside B,
+    and the t slots of each group of T.  Each placed unit of T sits on one
+    of those slots, so |T| − c(T) <= |M| − ν_B.
       (>=) For X >= B let T be the units that count in X: the members
       inside X of the groups with more than t of them.  Then predim(X) =
       |X| − |T| + t·#groups of T >= |B| + c(T) − |T| >= |B| − |M| + ν_B,
       since the open element slots of T lie in X − B.
       (<=) Let T be the units that an unplaced unit reaches by alternating
-      paths (unit, a slot it may use, a unit on that slot).  Their slots are
-      full and hold only units of T, so |T| − c(T) = |M| − ν_B, and X = B
-      plus those slots' elements holds every member of T, so predim(X) <=
-      |X| − |T| + t·#groups of T <= |B| + c(T) − |T|.
+      paths (unit, a slot it may use, the unit on that slot).  Each slot
+      they may use holds a unit (else a path would augment), that unit is
+      in T, and each placed unit of T sits on one of them, so |T| − c(T) =
+      |M| − ν_B; and X = B plus those slots' elements holds every member of
+      T, so predim(X) <= |X| − |T| + t·#groups of T = |B| + c(T) − |T|.
     ν_B is the same for every maximum placement, so it may be read off the
     one `_placement` re-augments from the cached placement for ∅: the units
     left unplaced at ∅ stay unplaced, and by Berge's theorem no unplaced
@@ -396,38 +393,40 @@ def min_predim_over(a: Structure, base: Iterable[int]) -> int:
 def largest_minimiser(a: Structure, base: Iterable[int]) -> frozenset[int]:
     """The largest X with base <= X <= universe and predim(X) = min_predim_over(a, base).
 
-    It is B plus every element whose slot is full in every maximum placement.
-    Equality in min_predim_over's (>=) chain makes X − B the slot elements of
-    T and fills their slots with units of T, in any maximum placement; so no
-    minimiser holds an element whose slot some maximum placement leaves
-    spare.  (A group slot of capacity 0, the tuple relation's, is full in
-    every placement, and only element slots are read.)  Those slots are found by one reverse search from the spare
-    slots: a unit that may move onto a slot that can be freed frees the slot
-    it holds.  The units on the slots that cannot be freed, with the
-    unplaced ones, may use only those slots (else a slot could be freed or a
-    unit placed) and fill them, so as in the (<=) step B plus those slots'
-    elements is itself a minimiser.  Any maximum placement serves, and
-    `_placement`'s re-augmented one is maximum.  The search reads the
-    evaluator's `users` index, built with no slot closed; it never pushes a
-    closed slot of B, so it only crosses slots the units may use.
+    It is B plus every element whose slot holds a unit in every maximum
+    placement (Dulmage & Mendelsohn).  Equality in min_predim_over's (>=)
+    chain makes X − B the element slots of T and fills every slot T may use
+    with a unit of T, in any maximum placement; so no minimiser holds an
+    element whose slot some maximum placement leaves empty.  Those slots are
+    found by one reverse search from the empty slots: a unit that may move
+    onto a slot that can be freed frees the slot it holds.  Every unit that
+    may use such a slot is placed, else a path would augment.  The units on
+    the slots that cannot be freed, with the unplaced ones, may use only
+    those slots (else a slot could be freed or a unit placed) and fill them,
+    so as in the (<=) step B plus those slots' elements is itself a
+    minimiser.
+    Only element slots are read; group k's slots enter through c(T), as the
+    block w_K, which adds no element of the universe.  Any maximum placement
+    serves, and `_placement`'s re-augmented one is maximum.  The search
+    reads the evaluator's `users` index, built with no slot closed; it never
+    pushes a closed slot of B, so it only crosses slots the units may use.
     """
     ev = _evaluator(a)
     bmask = ev.mask(base)
-    holders, placed = _placement(ev, bmask)
-    freed = [len(h) < c for h, c in zip(holders, ev.cap)]
-    # a closed slot is never pushed: no unit may use it
-    stack = [v for v, spare in enumerate(freed) if spare and not bmask >> v & 1]
+    owner, placed = _placement(ev, bmask)
+    freed = [x is None for x in owner]
+    for v in _bits(bmask):
+        freed[v] = False  # a closed slot is never pushed (no unit may use it) and is kept
+    stack = [v for v, spare in enumerate(freed) if spare]
     while stack:
-        for x in ev.users[stack.pop()]:
+        users = ev.users[stack.pop()]
+        for x in users:
             v = placed[x]
-            if v is not None and not freed[v]:
+            if not freed[v]:
                 freed[v] = True
-                stack.append(v)
-    keep = bmask
-    for v in range(ev.nbits):
-        if not freed[v]:
-            keep |= 1 << v
-    return ev.unmask(keep)
+                if ev.users[v] is not users:  # a block shares one list: no second scan
+                    stack.append(v)
+    return frozenset(e for e, spare in zip(ev.elems, freed) if not spare)
 
 
 @dataclass(frozen=True)

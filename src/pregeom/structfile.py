@@ -1,4 +1,4 @@
-"""Line-oriented text format for structures, plus chain persistence.
+"""Line-oriented text format for structures (chains are saved by `generic.save_chain`).
 
 Grammar (one structure per file):
 

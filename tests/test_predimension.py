@@ -7,7 +7,7 @@ import pytest
 
 from pregeom import predimension
 from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
-                     NaryStructure, StrongWitness, check_strong, clique_weight, closure, grow,
+                     NaryStructure, StrongWitness, check_strong, closure, grow,
                      in_class, induced, is_strong, min_predim_over, predim,
                      predim_rel, rank, strong_hull)
 from pregeom.generic import enumerate_structures
@@ -22,19 +22,6 @@ P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)
 P42 = ClassParams(4, 2)
 P32 = ClassParams(3, 2)
-
-
-class TestCliqueWeight:
-    def test_clamped_at_zero(self):
-        assert clique_weight(1, 3) == 0
-
-    def test_direct_value(self):
-        assert clique_weight(3, 2) == 2
-
-    def test_boundary(self):
-        for s in (2, 3, 4):
-            assert clique_weight(s - 1, s) == 0
-            assert clique_weight(s, s) == 1
 
 
 class TestPredim:
@@ -392,8 +379,8 @@ CROWDED_CHAIN = CLIQUE_CHAIN[:-3] + [[(x,), (y,)] for x, y in
 
 
 class TestClassVerdictAtScale:
-    """1500-element inputs, where the subset search's contraction drops about one element
-    per round, each round one pass over the unit masks."""
+    """1500-element inputs, decided by the unit placement alone: `in_class` makes no
+    `_min_over` call."""
 
     def test_tuple_path(self, monkeypatch):
         calls = counted_searches(monkeypatch)
@@ -460,7 +447,8 @@ class TestRankAndClosureAtScale:
         bases += [rng.sample(range(1500), k) for k in (1, 2, 3, 5, 8, 13) for _ in range(3)]
         moved = 0
         for base in bases:
-            sat = sorted(x for v in predimension._bits(ev.mask(base)) for x in ev.holders[v])
+            owners = (ev.owner[v] for v in predimension._bits(ev.mask(base)))
+            sat = sorted(x for x in owners if x is not None)
             for query in (rank, closure):
                 searches.clear()
                 query(a, base)
@@ -554,19 +542,22 @@ DEGENERATE_IDS = ["empty-relation", "no-clique", "one-tuple"]
 
 def placement_from_scratch(ev, base):
     """Every unit placed from nothing with `base`'s slots closed: the reference placement."""
-    holders = [[] for _ in ev.cap]
+    owner = [None] * len(ev.users)
     placed = [None] * len(ev.units)
     for x in range(len(ev.units)):
-        predimension._augment(ev, x, base, holders, placed)
-    return holders, placed
+        predimension._augment(ev, x, base, owner, placed)
+    return owner, placed
 
 
-def assert_valid_placement(ev, base, holders, placed):
+def assert_valid_placement(ev, base, owner, placed):
+    """Each unit on one open slot it may use, each slot holding at most one unit,
+    and `owner` the inverse of `placed`; group k's t slots follow the n element slots."""
+    assert len(owner) == ev.nbits + ev.t * len(ev.groups)
     for x, v in enumerate(placed):
         assert v is None or v in ev.units[x] and not base >> v & 1
-    assert [sorted(h) for h in holders] == [
-        sorted(x for x, v in enumerate(placed) if v == slot) for slot in range(len(ev.cap))]
-    assert all(len(h) <= c for h, c in zip(holders, ev.cap))
+    held = [v for v in placed if v is not None]
+    assert len(held) == len(set(held))
+    assert owner == [placed.index(v) if v in held else None for v in range(len(owner))]
 
 
 def exhaustive_structures():
@@ -589,14 +580,16 @@ class TestPlacement:
     @staticmethod
     def check_every_base(a):
         ev = predimension._Evaluator(a)
+        assert ev.users == [[x for x, unit in enumerate(ev.units) if v in unit]
+                            for v in range(len(ev.users))]
         for base in subsets(a.universe):
             bmask = ev.mask(base)
-            holders, placed = predimension._placement(ev, bmask)
-            assert_valid_placement(ev, bmask, holders, placed)
+            owner, placed = predimension._placement(ev, bmask)
+            assert_valid_placement(ev, bmask, owner, placed)
             assert placed.count(None) == placement_from_scratch(ev, bmask)[1].count(None)
         fresh = predimension._Evaluator(a)
         assert fresh.in_class() == ev.in_class()
-        assert (ev.holders, ev.placed) == (fresh.holders, fresh.placed)
+        assert (ev.owner, ev.placed) == (fresh.owner, fresh.placed)
 
     @SEEDED_KINDS
     @SEEDED_PARAMS
@@ -632,10 +625,10 @@ class TestPlacement:
                 else:
                     min_predim_over(b, base)
                     predimension.largest_minimiser(b, base)
-                moved += any(ev.holders[v] for v in predimension._bits(ev.mask(base)))
+                moved += any(ev.owner[v] is not None for v in predimension._bits(ev.mask(base)))
             fresh = predimension._Evaluator(b)
             fresh.in_class()
-            assert (ev.holders, ev.placed) == (fresh.holders, fresh.placed)
+            assert (ev.owner, ev.placed) == (fresh.owner, fresh.placed)
         assert moved > 100
 
 
@@ -673,6 +666,51 @@ PAIR_CLIQUES = CliqueStructure.of(P32, range(8), [
 SMALL_CASES = pytest.mark.parametrize(
     "b", CROWDED_CUTS + [PAIR_CLIQUES] + DEGENERATE,
     ids=["crowded-path", "crowded-chain", "pair-cliques"] + DEGENERATE_IDS)
+
+
+def tuple_expansion(c):
+    """T_C: each maxclique K, in sorted order, gets a block w_K of s − 1 fresh
+    elements above the universe, and each member x of K becomes the tuple w_K + x."""
+    p = c.params
+    universe = set(c.universe)
+    fresh = max(universe, default=-1) + 1
+    tuples = []
+    for k in sorted(c.maxcliques, key=sorted):
+        block = tuple(range(fresh, fresh + p.s - 1))
+        fresh += p.s - 1
+        universe.update(block)
+        tuples += [block + x for x in k]
+    return NaryStructure.of(p, universe, tuples)
+
+
+class TestImaginarySort:
+    """Group k's t = s − 1 slots stand for the block w_K of its maxclique in T_C, where
+    the tuple relation has element slots only: the class, the minimum over
+    supersets and the largest minimiser agree with T_C's on the real sort."""
+
+    @staticmethod
+    def check_every_base(c):
+        tc = tuple_expansion(c)
+        assert not validate(tc)
+        assert in_class(c) == in_class(tc)
+        for base in subsets(c.universe):
+            assert min_predim_over(c, base) == min_predim_over(tc, base)
+            assert (predimension.largest_minimiser(c, base)
+                    == predimension.largest_minimiser(tc, base) & c.universe)
+
+    @SEEDED_PARAMS
+    def test_seeded_families(self, n, r):
+        checked = out_of_class = 0
+        for c in seeded_structures("clique", n, r):
+            self.check_every_base(c)
+            checked += 1
+            out_of_class += not in_class(c)
+        assert out_of_class >= 5 and checked - out_of_class >= 5
+
+    @pytest.mark.parametrize("c", [CROWDED_CUTS[1], PAIR_CLIQUES, DEGENERATE[1]],
+                             ids=["crowded-chain", "pair-cliques", "no-clique"])
+    def test_small_cases(self, c):
+        self.check_every_base(c)
 
 
 class TestValue:
@@ -763,3 +801,14 @@ class TestStrongnessAtScale:
         assert check_strong(self.A, {0, 1, 3, 4}) == (
             False, StrongWitness((0, 1, 2, 3, 4), -2))
         assert strong_hull(self.A, {0, 1, 3, 4}) == frozenset(range(5))
+
+    # On the cycle every element lies in three tuples, so the contraction
+    # drops none and `_min_over`'s dfs recurses once per free element, 1099
+    # deep.  The flow answers at once.  Pinned until strongness runs on the flow.
+    @pytest.mark.xfail(strict=True, raises=RecursionError,
+                       reason="the branch-and-bound recurses once per free element")
+    def test_a_point_on_a_long_cycle(self):
+        n = 1100
+        a = NaryStructure.of(P31, range(n), [(i, (i + 1) % n, (i + 2) % n) for i in range(n)])
+        assert rank(a, {0}) == 0
+        assert not is_strong(a, {0})

@@ -267,7 +267,7 @@ PUBLIC_NAMES = [
     "Embedding", "FormatError", "GadgetEntry", "GadgetReport", "GrowthSchedule",
     "NaryStructure", "PartialPgIso", "Pregeometry", "ReductCertificate",
     "StrongWitness", "back_and_forth", "canonical_key", "check_strong",
-    "clique_certificate", "clique_to_nary", "clique_weight", "closure",
+    "clique_certificate", "clique_to_nary", "closure",
     "enumerate_extension_pairs", "enumerate_structures", "extend_clique",
     "free_amalgam", "genericity_check", "grow", "in_class", "induced",
     "induced_clique", "induced_nary", "is_strong", "isomorphic_over",
