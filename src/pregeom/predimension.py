@@ -31,8 +31,16 @@ inputs, and the branch-and-bound relies on that in two ways:
     element's removal loses, so the rule is "at most one lost unit"; the
     tie-break below keeps it, as (n+1)·(1 − lost) + 1 >= 0 exactly when
     lost <= 1.  So a round needs only the elements that lose two or more
-    units, and one pass over the unit masks finds them as a bitmask; the
-    exact counts are taken once, at the fixpoint, for the free elements;
+    units, which each counting group's masks of the elements in at least
+    one and at least two of its members give as one bitmask.  The first
+    round, against the universe, is the same for every base, so the
+    evaluator keeps it; a later round recounts only the groups its drop
+    touched, and a group left with at most t members is retired for good,
+    as the upper set only shrinks.  The exact counts are taken once, at the
+    fixpoint, for the free elements.  The search then evaluates on the
+    kernel, the counting groups' members inside the upper set T.  That is
+    exact on every X with B <= X <= T: a member outside T is never inside X,
+    and a group with at most t members inside T has at most t inside X;
   * a lower bound: predim(X) >= predim(S) + sum of the negative top
     marginals of the still-free elements, for every S <= X <= T.
 
@@ -53,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Optional
 
 from .errors import DomainError
@@ -71,14 +79,17 @@ class _Evaluator:
     tuple relation, with t = 0, has none.  Also the indexes the kernels
     read: `units` (the slots each unit may use: its member's elements, then
     its group's slots; `_placement`), `users` (the units that may use each
-    slot; a block's slots share one list), `incidence` (per element, the groups through it, each with its
-    member masks that contain the element; `_contract`), and the cached
-    maximum placement with no slot closed (`owner`, each slot's unit or
-    None, and `placed`, each unit's slot or None).
+    slot; a block's slots share one list), `incidence` (per element, the
+    groups through it, each with its member masks that contain the element;
+    `_contract`), the first contraction round against the whole universe
+    (`live`, the counting groups' states, and `twos`, the elements that lose
+    two units or more; `_round`), and the cached maximum placement with no
+    slot closed (`owner`, each slot's unit or None, and `placed`, each
+    unit's slot or None).
     """
 
     __slots__ = ("elems", "index", "nbits", "full", "groups", "t", "units", "users",
-                 "incidence", "owner", "placed")
+                 "incidence", "live", "twos", "owner", "placed")
 
     def __init__(self, struct: Structure):
         report = validate(struct)
@@ -111,6 +122,9 @@ class _Evaluator:
                     through.setdefault(i, []).append(tm)
             for i, masks in through.items():
                 self.incidence[i].append((k, masks))
+        # the first contraction round, against the whole universe, is the same for every base
+        self.live, self.twos = _round([(k, g, *_spread(g)) for k, g in enumerate(self.groups)],
+                                      0, self.t)
         self.owner = self.placed = None  # filled by in_class()
 
     def _mask_of(self, t) -> int:
@@ -131,16 +145,7 @@ class _Evaluator:
         return frozenset(self.elems[i] for i in _bits(mask))
 
     def value(self, mask: int) -> int:
-        total = 0
-        t = self.t
-        for group in self.groups:
-            c = 0
-            for tm in group:
-                if tm & mask == tm:
-                    c += 1
-            if c > t:
-                total += c - t
-        return mask.bit_count() - total
+        return _predim(self.groups, self.t, mask)
 
     def in_class(self) -> bool:
         """Whether the empty set is self-sufficient: every unit is placed at base ∅.
@@ -154,6 +159,19 @@ class _Evaluator:
             for x in range(len(self.units)):
                 _augment(self, x, 0, self.owner, self.placed)
         return None not in self.placed
+
+
+def _predim(groups: list, t: int, mask: int) -> int:
+    """|mask| minus, over the groups, max(0, c − t) for c the group's members inside mask."""
+    total = 0
+    for group in groups:
+        c = 0
+        for tm in group:
+            if tm & mask == tm:
+                c += 1
+        if c > t:
+            total += c - t
+    return mask.bit_count() - total
 
 
 def _bits(mask: int) -> list[int]:
@@ -250,74 +268,114 @@ def _placement(ev: _Evaluator, base: int) -> tuple[list, list]:
     return owner, placed
 
 
-def _contract(ev: _Evaluator, base: int) -> tuple[int, dict[int, int]]:
-    """Shrink the universe to a fixpoint `top` and count its free elements' lost units.
+def _spread(members: list) -> tuple[int, int]:
+    """The elements in at least one and in at least two of the member masks."""
+    one = two = 0
+    for tm in members:
+        two |= one & tm
+        one |= tm
+    return one, two
+
+
+def _round(live: list, drop: int, t: int) -> tuple[list, int]:
+    """One contraction round after `drop` left `top`: the groups still counting, and `twos`.
+
+    Each state is (k, members, one, two): group k's members inside `top`, and
+    the elements in at least one and in at least two of them (`_spread`).  A
+    group whose `one` misses `drop` keeps all of them, so only the others are
+    recounted, and each of those loses at least one member.  A group with
+    c <= t members inside `top` adds nothing, and as `top` only shrinks it
+    never counts again, so it leaves the list for good.  `twos` collects the
+    elements that lose at least two units (see `_contract`).
+    """
+    kept = []
+    ones = twos = 0
+    for state in live:
+        k, members, one, two = state
+        if one & drop:
+            if len(members) <= t + 1:  # it loses a member, so it no longer counts
+                continue
+            members = [tm for tm in members if not tm & drop]
+            one, two = _spread(members)
+            state = k, members, one, two
+        spare = len(members) - t
+        if spare > 0:
+            kept.append(state)
+            twos |= ones & one
+            if spare >= 2:
+                twos |= two
+            ones |= one
+    return kept, twos
+
+
+def _contract(ev: _Evaluator, base: int) -> tuple[int, dict[int, int], list]:
+    """Shrink the universe to a fixpoint `top`, and count its free elements' lost units.
 
     Dropping element i from `top` loses lost[i] units, so its marginal is
     1 − lost[i]: the sum over the groups of min(d(i), max(0, c − t)), where
     c of the group's members lie inside `top` and d(i) of those contain i.
     (For the tuple relation t = 0 and d(i) <= c, so that is d(i), the tuples
     inside `top` containing i.)  Each round drops every element outside
-    `base` that loses at most one unit, so it needs only the set of elements
-    that lose two or more.  One pass over the member masks inside `top`
-    keeps two saturating masks, `ones` and `twos`, of the elements that lose
-    at least one and at least two units.  A group with spare = c − t >= 2
-    adds each inside member's mask, since then min(d(i), spare) >= 2 exactly
-    when d(i) >= 2; with spare = 1 it adds the union of those masks once, as
-    each element in it loses exactly one unit there; with spare <= 0 it adds
-    nothing.  Only at the fixpoint are the exact counts taken, for the free
-    elements (`top` − `base`) alone, from the evaluator's element-to-group
-    incidence index.  Returns (top, lost), lost keyed by the free elements'
-    indices.
+    `base` that loses at most one unit, so it needs only the set `twos` of
+    the elements that lose two or more.  Two saturating masks, `ones` and
+    `twos`, hold the elements that lose at least one and at least two units.
+    A group with spare = c − t >= 2 adds its `two` (min(d(i), spare) >= 2
+    exactly when d(i) >= 2); with spare >= 1 it adds its `one`, and an element
+    in the `one` of two such groups loses two units.  A group with spare <= 0
+    adds nothing.  `_round` keeps each counting group's members inside `top`
+    with their `one` and `two`.  With `top` the universe the first round does
+    not depend on the base, so the evaluator keeps it (`live`, `twos`) and
+    the first drop needs no scan; later rounds recount only the groups that a
+    drop touched.  Only at the fixpoint are the exact counts taken, for the
+    free elements (`top` − `base`) alone.
+
+    Returns (top, lost, kernel): lost is keyed by the free elements' indices,
+    and the kernel is the counting groups' members inside `top`.  Its
+    predimension (`_predim` with the threshold t) equals the structure's on
+    every X with base <= X <= top: a member outside `top` is never inside X,
+    and a group with c <= t members inside `top` has at most t inside X.
     """
-    top = ev.full
-    while True:
-        ones = twos = 0
-        spares = []
-        for group in ev.groups:
-            # c members inside top; `one`, `two`: the elements in at least one, two of them
-            c = one = two = 0
-            for tm in group:
-                if tm & top == tm:
-                    c += 1
-                    two |= one & tm
-                    one |= tm
-            spare = c - ev.t
-            spares.append(spare)
-            if spare >= 2:
-                twos |= two | ones & one
-                ones |= one
-            elif spare == 1:
-                twos |= ones & one
-                ones |= one
-        drop = top & ~base & ~twos
-        if not drop:
-            break
+    t = ev.t
+    top, live, twos = ev.full, ev.live, ev.twos
+    while drop := top & ~base & ~twos:
         top &= ~drop
+        live, twos = _round(live, drop, t)
+    kernel = []
+    spares = {}
+    for k, members, _, _ in live:
+        kernel.append(members)
+        spares[k] = len(members) - t
     lost = {}
     for i in _bits(top & ~base):
         total = 0
         for k, masks in ev.incidence[i]:
-            if spares[k] > 0:
+            if k in spares:
                 d = 0
                 for tm in masks:
                     if tm & top == tm:
                         d += 1
                 total += min(d, spares[k])
         lost[i] = total
-    return top, lost
+    return top, lost, kernel
 
 
-def _min_over(ev: _Evaluator, base: int, tilt: int = 0) -> tuple[int, int]:
-    """Exact min of predim(X) over base <= X <= universe, with an argmin mask.
+def _min_over(ev: _Evaluator, base: int, tilt: int = 0) -> tuple[int, int, list]:
+    """Exact min of predim(X) over base <= X <= universe, an argmin mask, and the kernel.
 
     With tilt=+1 the argmin is the least minimiser: the search runs on
     (n+1)·predim(X) + |X| (see the module docstring).  With tilt=0 it is
-    whichever minimiser the search meets first.
+    whichever minimiser the search meets first, and it leaves `base` only for
+    a strictly smaller value.  Every minimiser lies inside `_contract`'s
+    `top`, and the search evaluates only masks in [base, top], on the kernel,
+    which gives them the structure's predimension.
     """
     scale = ev.nbits + 1
-    value = (lambda m: scale * ev.value(m) + tilt * m.bit_count()) if tilt else ev.value
-    top, lost = _contract(ev, base)
+    top, lost, kernel = _contract(ev, base)
+    t = ev.t
+    if tilt:
+        value = lambda m: scale * _predim(kernel, t, m) + tilt * m.bit_count()
+    else:
+        value = partial(_predim, kernel, t)
     # the marginal of element i against top is 1 − lost[i], times scale plus tilt when tilted
     weight = scale if tilt else 1
     marg = {1 << i: weight * (1 - loss) + tilt for i, loss in lost.items()}
@@ -344,7 +402,7 @@ def _min_over(ev: _Evaluator, base: int, tilt: int = 0) -> tuple[int, int]:
     dfs(0, base, best)
     if tilt:
         best = (best - tilt * best_mask.bit_count()) // scale
-    return best, best_mask
+    return best, best_mask, kernel
 
 
 def predim(a: Structure) -> int:
@@ -447,15 +505,16 @@ def check_strong(a: Structure, base: Iterable[int]) -> tuple[bool, Optional[Stro
     """
     ev = _evaluator(a)
     bmask = ev.mask(base)
-    hull = _min_over(ev, bmask, tilt=1)[1]
+    _, hull, kernel = _min_over(ev, bmask, tilt=1)
     if hull == bmask:
         return True, None
-    p_base = ev.value(bmask)
-    cand = sorted(ev.unmask(hull & ~bmask))
+    # every candidate lies inside the hull, so inside `top`: the kernel's predimension is exact
+    p_base = _predim(kernel, ev.t, bmask)
+    cand = [1 << i for i in _bits(hull & ~bmask)]  # ascending index is ascending element id
     for k in range(1, len(cand) + 1):
         for extra in itertools.combinations(cand, k):
-            m = bmask | ev.mask(extra)
-            val = ev.value(m)
+            m = bmask | sum(extra)
+            val = _predim(kernel, ev.t, m)
             if val < p_base:
                 return False, StrongWitness(tuple(sorted(ev.unmask(m))), val - p_base)
     raise AssertionError("the strong hull is larger than the base but holds no violating superset")
@@ -464,7 +523,7 @@ def check_strong(a: Structure, base: Iterable[int]) -> tuple[bool, Optional[Stro
 def is_strong(a: Structure, base: Iterable[int]) -> bool:
     ev = _evaluator(a)
     bmask = ev.mask(base)
-    return _min_over(ev, bmask)[0] >= ev.value(bmask)
+    return _min_over(ev, bmask)[1] == bmask  # the argmin leaves base only for a smaller value
 
 
 def in_class(a: Structure) -> bool:

@@ -94,6 +94,39 @@ def test_class_on_1500_element_path(tmp_path):
     assert run(["class", str(p)]) == (0, "in class\n")
 
 
+def cycle_file(tmp_path, extra=()):
+    """The (3,1) cycle (i, i+1, i+2) mod 1100, plus `extra` tuples."""
+    n = 1100
+    p = tmp_path / "cycle.txt"
+    lines = ["kind nary", "params n=3 r=1", "universe " + " ".join(map(str, range(n)))]
+    lines += [f"rel {i} {(i + 1) % n} {(i + 2) % n}" for i in range(n)]
+    lines += [f"rel {x} {y} {z}" for x, y, z in extra]
+    p.write_text("\n".join(lines + ["end", ""]))
+    return str(p)
+
+
+# Every element of the cycle lies in three tuples, so the branch-and-bound's
+# contraction frees all of them and its dfs recurses once per free element.
+# The one violating superset of {0} (and, with (0, 2, 4), of the empty set) is
+# the whole cycle.  Pinned until strongness runs on the flow; its witness
+# enumeration over the cycle will then still need a DomainError guard.
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="the branch-and-bound recurses once per free element")
+def test_strong_on_a_long_cycle(tmp_path):
+    p = cycle_file(tmp_path)
+    assert run(["rank", p, "--set", "0"]) == (0, "0\n")
+    whole = ",".join(map(str, range(1100)))
+    assert run(["strong", p, "--sub", "0"]) == (1, f"not strong: witness={whole} relative=-1\n")
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="the class witness runs check_strong(a, ∅) on the branch-and-bound")
+def test_class_witness_on_a_long_cycle(tmp_path):
+    p = cycle_file(tmp_path, [(0, 2, 4)])
+    whole = ",".join(map(str, range(1100)))
+    assert run(["class", p]) == (1, f"not in class: witness={whole} predim=-1\n")
+
+
 def test_closure_and_rank(files):
     _, _, _, _, clique = files
     code, out = run(["closure", clique, "--set", "0"])

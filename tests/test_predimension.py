@@ -737,9 +737,9 @@ class TestValue:
 
 class TestContraction:
     """`_contract` finds each round's drops from two saturating masks, `ones` and
-    `twos`, built in one pass over the unit masks inside `top`, and counts the
-    exact losses of the free elements only at the fixpoint.  The reference
-    rescans the predimension once per element per round."""
+    `twos`, starts from the evaluator's first round, recounts only the groups a
+    drop touched, and counts the exact losses of the free elements only at the
+    fixpoint.  The reference rescans the predimension once per element per round."""
 
     @staticmethod
     def check_every_base(b):
@@ -749,7 +749,7 @@ class TestContraction:
         values = {x: naive_predim(b, x) for x in subsets(b.universe)}
         for base in values:
             bmask = ev.mask(base)
-            top, lost = predimension._contract(ev, bmask)
+            top, lost, _ = predimension._contract(ev, bmask)
             assert top == rescan_contract(ev.value, ev.full, bmask)
             assert top == rescan_contract(tilted, ev.full, bmask)
             assert sorted(lost) == predimension._bits(top & ~bmask)
@@ -774,16 +774,60 @@ class TestContraction:
         self.check_every_base(b)
 
     def test_makes_no_value_call(self, monkeypatch):
+        # nor does the search, which evaluates on the kernel
         calls = []
         inner = predimension._Evaluator.value
         monkeypatch.setattr(predimension._Evaluator, "value",
                             lambda ev, mask: calls.append(mask) or inner(ev, mask))
-        for a in (NaryStructure.of(P31, range(60), tuple_path(60)),
-                  CliqueStructure.of(P21, range(61), CLIQUE_CHAIN[:30])):
+        path = NaryStructure.of(P31, range(60), tuple_path(60))
+        chain = CliqueStructure.of(P21, range(1500), CLIQUE_CHAIN)
+        for a, bases in ((path, [(), (0,), (0, 1, 3, 4), (29, 30)]),
+                         (chain, [(), (0,), (0, 1), (700, 701), (1499,)])):
             ev = predimension._Evaluator(a)
-            for base in (0, 1, ev.full):
-                predimension._contract(ev, base)
+            for bmask in [ev.mask(base) for base in bases] + [ev.full]:
+                predimension._contract(ev, bmask)
+                for tilt in (0, 1):
+                    predimension._min_over(ev, bmask, tilt)
         assert calls == []
+
+
+class TestKernel:
+    """The kernel `_contract` returns, the counting groups' members inside `top`,
+    has the structure's predimension on every X with base <= X <= top, so the
+    search and the strong witness evaluate on it alone."""
+
+    @staticmethod
+    def check_bases(b, bases, rng):
+        ev = predimension._Evaluator(b)
+        for base in bases:
+            bmask = ev.mask(base)
+            top, _, kernel = predimension._contract(ev, bmask)
+            free = predimension._bits(top & ~bmask)
+            if len(free) <= 10:
+                extras = subsets(free)
+            else:
+                extras = (rng.sample(free, rng.randint(0, len(free))) for _ in range(200))
+            for extra in extras:
+                x = bmask | sum(1 << i for i in extra)
+                assert predimension._predim(kernel, ev.t, x) == ev.value(x)
+
+    @SEEDED_KINDS
+    @SEEDED_PARAMS
+    def test_seeded_families(self, kind, n, r):
+        for b in seeded_structures(kind, n, r):
+            self.check_bases(b, subsets(b.universe), None)
+
+    @SMALL_CASES
+    def test_crowded_cuts_and_pair_cliques(self, b):
+        self.check_bases(b, subsets(b.universe), None)
+
+    @pytest.mark.parametrize("kind, params, size", [("nary", P31, 30), ("clique", P21, 40)])
+    def test_grown_stages(self, kind, params, size):
+        # the benchmark's queries stages: on the tuple stage `top` − base exceeds ten elements
+        a = grow(GrowthSchedule(kind, params, size, 3, 1)).final
+        rng = random.Random(size)
+        elems = sorted(a.universe)
+        self.check_bases(a, [rng.sample(elems, rng.randint(0, 3)) for _ in range(60)], rng)
 
 
 class TestStrongnessAtScale:
