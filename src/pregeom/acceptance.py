@@ -28,8 +28,8 @@ from .geometry import (anchor_choices, back_and_forth, clique_to_nary,
                        is_good_set, nary_to_clique, remove_pathologies)
 from .predimension import (_evaluator, check_strong, in_class, is_strong,
                            predim_rel, strong_hull)
-from .oracles import (naive_closure, naive_is_strong, naive_strong_witness,
-                      subsets)
+from .oracles import (naive_closure, naive_is_strong, naive_min_over, naive_predim,
+                      naive_strong_hull, subsets)
 from .pregeometry import (_predim_table, closure, pregeometry_of,
                           rank_table_of, same_pregeometry)
 from .reduct import lift, reduct_of, reduct_within, undefinability_pair
@@ -486,9 +486,9 @@ def criterion_12_back_and_forth(level: str):
 def criterion_13_oracle_equivalence(level: str):
     """Self-sufficiency, its witness and closure agree with plain enumeration.
 
-    `check_strong` takes its verdict from the branch-and-bound strong hull
-    (`predimension._min_over`) and its witness from subsets of that hull;
-    `closure` comes from the unit-placement flow (`predimension._placement`).
+    `check_strong` takes its verdict and its witness, the strong hull, from
+    the branch-and-bound (`predimension._least_minimiser`); `closure` comes
+    from the unit-placement flow (`predimension._placement`).
     """
     want = 1000 if level == "full" else 60
     rng = random.Random(13)
@@ -502,8 +502,9 @@ def criterion_13_oracle_equivalence(level: str):
         got_strong, witness = check_strong(a, base)
         if got_strong != naive_is_strong(a, base):
             return False, f"strongness mismatch on instance {i}"
-        if not got_strong and ((witness.violating, witness.relative_value)
-                               != naive_strong_witness(a, base)):
+        if not got_strong and (
+                witness.violating != tuple(sorted(naive_strong_hull(a, base)))
+                or witness.relative_value != naive_min_over(a, base) - naive_predim(a, base)):
             return False, f"witness mismatch on instance {i}"
         if closure(a, base) != naive_closure(a, base):
             return False, f"closure mismatch on instance {i}"

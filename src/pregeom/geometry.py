@@ -100,7 +100,10 @@ def remove_pathologies(a: NaryStructure, b: NaryStructure
 
     Returns (c, d): c extends b, d extends a, both on the same enlarged
     universe, with identical rank tables; no new tuple of d has a distinct
-    block-permuted companion in d.
+    block-permuted companion in d.  That rank-table equality is re-checked
+    only when the enlarged universe fits the pregeometry cap
+    (`max_ground_cap`, which `PREGEOM_MAX_GROUND` sets); above it the check
+    is skipped.
     """
     if not isinstance(a, NaryStructure) or not isinstance(b, NaryStructure):
         raise DomainError("pathology removal takes two tuple structures")
@@ -108,7 +111,7 @@ def remove_pathologies(a: NaryStructure, b: NaryStructure
     m = a.params.n
     if m < 4:
         raise DomainError("pathology removal needs tuples of arity at least 4")
-    _check_block_arity(a.params)
+    blocks = _check_block_arity(a.params)
     new_tuples = sorted(b.relation - a.relation)
     fresh = itertools.count(max(b.universe, default=-1) + 1)
     fresh_ids = []
@@ -136,7 +139,6 @@ def remove_pathologies(a: NaryStructure, b: NaryStructure
         raise AssertionError("b is not self-sufficient in c")
     if not is_strong(d, a.universe):
         raise AssertionError("a is not self-sufficient in d")
-    blocks = _check_block_arity(a.params)
     for t in d.relation - a.relation:
         bl = _blocks(t, a.params.r)
         for perm in itertools.permutations(range(blocks)):
@@ -397,6 +399,11 @@ def back_and_forth(stage1: NaryStructure, stage2: CliqueStructure,
     structures share a universe throughout and every round re-verifies rank
     table equality.  Extension types are drawn from the stages, topped up
     with a single-tuple and a disjoint-clique baseline.
+
+    Each round plants the first pattern, in a fixed order, that fits the room
+    left under the pregeometry cap (`max_ground_cap`).  So the environment
+    variable `PREGEOM_MAX_GROUND`, which sets that cap, changes which
+    patterns are planted and so the result.
     """
     cap = max_ground_cap()
     _check_cross_params(stage1.params, stage2.params)

@@ -4,9 +4,10 @@ Everything here works on plain sets and itertools, with no bitmasks, no
 pruning and no caching, so the package's kernels have an honest reference to
 agree with bit-for-bit: the unit-placement flow (`predimension._placement`),
 behind class membership, rank and closure, and the branch-and-bound
-(`predimension._min_over`), behind strongness, the strong hull and the strong
-witness.  The acceptance suite and the tests both check against this
-module; it imports nothing from the package but the structure types.
+(`predimension._least_minimiser`), behind strongness and the strong hull,
+which is also `check_strong`'s witness.  The acceptance suite and the tests
+both check against this module; it imports nothing from the package but the
+structure types.
 """
 
 import itertools
@@ -45,19 +46,6 @@ def naive_is_strong(struct, base):
                for extra in subsets(struct.universe - base))
 
 
-def naive_strong_witness(struct, base):
-    """Minimum-cardinality violating superset, lexicographically least; None when strong."""
-    base = frozenset(base)
-    p0 = naive_predim(struct, base)
-    rest = sorted(struct.universe - base)
-    for k in range(1, len(rest) + 1):
-        for extra in itertools.combinations(rest, k):
-            val = naive_predim(struct, base | set(extra))
-            if val < p0:
-                return tuple(sorted(base | set(extra))), val - p0
-    return None
-
-
 def naive_strong_hull(struct, base):
     """The intersection of every superset of `base` that reaches the minimum predimension."""
     base = frozenset(base)
@@ -73,19 +61,3 @@ def naive_closure(struct, base):
     return base | {e for e in struct.universe - base
                    if naive_min_over(struct, base | {e}) == d0}
 
-
-def naive_closure_union_formula(struct, base):
-    """The union of all sets X with predim(X / X intersect base) <= 0."""
-    base = frozenset(base)
-    out = set(base)
-    for x in subsets(struct.universe):
-        if naive_predim(struct, x) - naive_predim(struct, x & base) <= 0:
-            out |= x
-    return frozenset(out)
-
-
-def naive_dims(struct, base):
-    """Literal definition: least size of a subset with the same closure."""
-    base = frozenset(base)
-    target = naive_closure(struct, base)
-    return min(len(x) for x in subsets(base) if naive_closure(struct, x) == target)

@@ -21,8 +21,9 @@ real elements are those of C.  The evaluator keeps the maximum matching for
 B = ∅, which decides membership; for a base B, `_placement` unplaces only the
 units on B's element slots, at most |B|, and re-augments just those (the
 proof is in its docstring).
-Self-sufficiency of a base, the strong hull and the strong witness still run
-the branch-and-bound `_min_over`.  The predimension is submodular on valid
+Self-sufficiency of a base, the strong hull and `check_strong`'s witness,
+which is the hull itself, still come from one branch-and-bound search for the
+least minimiser, `_least_minimiser`.  The predimension is submodular on valid
 inputs, and the branch-and-bound relies on that in two ways:
 
   * contraction: an element whose marginal w.r.t. the current upper set is
@@ -50,8 +51,8 @@ The least is the unique argmin of (n+1)·predim(X) + |X| (n = |U|; one unit
 of predim outweighs any difference in size), which is submodular too.  It,
 H, is the self-sufficient closure of B: predim(X ∩ S) <= predim(X) for a
 minimiser X and a strong S >= B, so H lies inside every strong superset of
-B; and predim(V ∩ H) <= predim(V) + predim(H) - predim(V ∪ H) <= predim(V),
-so every minimum-size violator V of a non-strong B lies inside H.
+B.  So B is strong exactly when H = B, and otherwise H itself violates it:
+predim(H) < predim(B).
 
 The max-flow and the branch-and-bound are required to agree bit-exactly
 with plain enumeration; the test suite carries the naive oracle.
@@ -59,9 +60,8 @@ with plain enumeration; the test suite carries the naive oracle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import DomainError
@@ -359,31 +359,24 @@ def _contract(ev: _Evaluator, base: int) -> tuple[int, dict[int, int], list]:
     return top, lost, kernel
 
 
-def _min_over(ev: _Evaluator, base: int, tilt: int = 0) -> tuple[int, int, list]:
-    """Exact min of predim(X) over base <= X <= universe, an argmin mask, and the kernel.
+def _least_minimiser(ev: _Evaluator, base: int) -> int:
+    """The least X with base <= X <= universe and predim(X) minimal, as a mask.
 
-    With tilt=+1 the argmin is the least minimiser: the search runs on
-    (n+1)·predim(X) + |X| (see the module docstring).  With tilt=0 it is
-    whichever minimiser the search meets first, and it leaves `base` only for
-    a strictly smaller value.  Every minimiser lies inside `_contract`'s
+    The search runs on (n+1)·predim(X) + |X|, whose unique argmin is that X
+    (see the module docstring).  Every minimiser lies inside `_contract`'s
     `top`, and the search evaluates only masks in [base, top], on the kernel,
     which gives them the structure's predimension.
     """
     scale = ev.nbits + 1
-    top, lost, kernel = _contract(ev, base)
+    _, lost, kernel = _contract(ev, base)
     t = ev.t
-    if tilt:
-        value = lambda m: scale * _predim(kernel, t, m) + tilt * m.bit_count()
-    else:
-        value = partial(_predim, kernel, t)
-    # the marginal of element i against top is 1 − lost[i], times scale plus tilt when tilted
-    weight = scale if tilt else 1
-    marg = {1 << i: weight * (1 - loss) + tilt for i, loss in lost.items()}
+    # a mask's value is scale·predim + size; element i's marginal against top is 1 − lost[i]
+    marg = {1 << i: scale * (1 - loss) + 1 for i, loss in lost.items()}
     free = sorted(marg, key=marg.get)
     suffix = [0] * (len(free) + 1)
     for i in range(len(free) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + min(0, marg[free[i]])
-    best = value(base)
+    best = scale * _predim(kernel, t, base) + base.bit_count()
     best_mask = base
 
     def dfs(i: int, cur_mask: int, cur_val: int):
@@ -395,14 +388,12 @@ def _min_over(ev: _Evaluator, base: int, tilt: int = 0) -> tuple[int, int, list]
                 best = cur_val
                 best_mask = cur_mask
             return
-        bit = free[i]
-        dfs(i + 1, cur_mask | bit, value(cur_mask | bit))
+        m = cur_mask | free[i]
+        dfs(i + 1, m, scale * _predim(kernel, t, m) + m.bit_count())
         dfs(i + 1, cur_mask, cur_val)
 
     dfs(0, base, best)
-    if tilt:
-        best = (best - tilt * best_mask.bit_count()) // scale
-    return best, best_mask, kernel
+    return best_mask
 
 
 def predim(a: Structure) -> int:
@@ -498,32 +489,23 @@ class StrongWitness:
 def check_strong(a: Structure, base: Iterable[int]) -> tuple[bool, Optional[StrongWitness]]:
     """Self-sufficiency of `base` in `a`, plus a witness when it fails.
 
-    The witness is the minimum-cardinality violating superset, lexicographic
-    least among those (element ids ascending).  `base` is strong exactly when
-    it is its own strong hull, which holds every such violator (see the module
-    docstring).
+    `base` is strong exactly when it is its own strong hull.  When it is not,
+    the witness is the hull, with its predimension over `base`, which is
+    min_predim_over(a, base) − predim(base) < 0 (see the module docstring).
     """
     ev = _evaluator(a)
     bmask = ev.mask(base)
-    _, hull, kernel = _min_over(ev, bmask, tilt=1)
+    hull = _least_minimiser(ev, bmask)
     if hull == bmask:
         return True, None
-    # every candidate lies inside the hull, so inside `top`: the kernel's predimension is exact
-    p_base = _predim(kernel, ev.t, bmask)
-    cand = [1 << i for i in _bits(hull & ~bmask)]  # ascending index is ascending element id
-    for k in range(1, len(cand) + 1):
-        for extra in itertools.combinations(cand, k):
-            m = bmask | sum(extra)
-            val = _predim(kernel, ev.t, m)
-            if val < p_base:
-                return False, StrongWitness(tuple(sorted(ev.unmask(m))), val - p_base)
-    raise AssertionError("the strong hull is larger than the base but holds no violating superset")
+    return False, StrongWitness(tuple(sorted(ev.unmask(hull))), ev.value(hull) - ev.value(bmask))
 
 
 def is_strong(a: Structure, base: Iterable[int]) -> bool:
+    """Whether `base` is self-sufficient in `a`: it is its own strong hull."""
     ev = _evaluator(a)
     bmask = ev.mask(base)
-    return _min_over(ev, bmask)[1] == bmask  # the argmin leaves base only for a smaller value
+    return _least_minimiser(ev, bmask) == bmask
 
 
 def in_class(a: Structure) -> bool:
@@ -538,4 +520,4 @@ def strong_hull(a: Structure, base: Iterable[int]) -> frozenset[int]:
     min_predim_over(a, base); one search on (n+1)·predim(X) + |X| finds it.
     """
     ev = _evaluator(a)
-    return ev.unmask(_min_over(ev, ev.mask(base), tilt=1)[1])
+    return ev.unmask(_least_minimiser(ev, ev.mask(base)))

@@ -80,6 +80,15 @@ def test_strong_exit_codes(files):
     assert code == 1 and "witness=0,1,2,3,4" in out
 
 
+def test_strong_prints_the_hull_as_its_witness(tmp_path):
+    # the smallest violator of {0, 2} is {0, 2, 3}, at -1; the witness is the hull
+    p = tmp_path / "hull.txt"
+    p.write_text("kind nary\nparams n=3 r=1\nuniverse 0 1 2 3\n"
+                 "rel 1 0 3\nrel 2 1 0\nrel 2 3 0\nrel 3 2 0\nend\n")
+    assert run(["strong", str(p), "--sub", "0,2"]) == (
+        1, "not strong: witness=0,1,2,3 relative=-2\n")
+
+
 def test_class_exit_codes(files):
     _, _, five, bad, _ = files
     assert run(["class", five]) == (0, "in class\n")
@@ -108,8 +117,9 @@ def cycle_file(tmp_path, extra=()):
 # Every element of the cycle lies in three tuples, so the branch-and-bound's
 # contraction frees all of them and its dfs recurses once per free element.
 # The one violating superset of {0} (and, with (0, 2, 4), of the empty set) is
-# the whole cycle.  Pinned until strongness runs on the flow; its witness
-# enumeration over the cycle will then still need a DomainError guard.
+# the whole cycle, so it is the strong hull and the witness printed.  Pinned
+# until strongness runs on the flow; the witness is the hull that search
+# returns, so these then become plain tests of the answers below.
 @pytest.mark.xfail(strict=True, raises=RecursionError,
                    reason="the branch-and-bound recurses once per free element")
 def test_strong_on_a_long_cycle(tmp_path):

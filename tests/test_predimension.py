@@ -14,7 +14,7 @@ from pregeom.generic import enumerate_structures
 from pregeom.gen import (random_clique, random_clique_in_class, random_nary,
                          random_nary_in_class, random_subset)
 from pregeom.oracles import (naive_closure, naive_is_strong, naive_min_over, naive_predim,
-                             naive_strong_hull, naive_strong_witness, subsets)
+                             naive_strong_hull, subsets)
 from pregeom.pregeometry import _predim_table
 from pregeom.structures import validate
 
@@ -90,6 +90,15 @@ class TestIsStrong:
         assert witness.violating == (0, 1, 2, 3, 4)
         assert witness.relative_value == -1
 
+    def test_the_witness_is_the_hull_not_a_smallest_violator(self):
+        # (0, 2, 3) holds (2, 3, 0) and (3, 2, 0): it violates {0, 2} by -1 and is
+        # the smallest violator; the hull adds 1 for two more tuples and reaches -2
+        a = NaryStructure.of(P31, range(4), [(1, 0, 3), (2, 1, 0), (2, 3, 0), (3, 2, 0)])
+        assert in_class(a)
+        assert naive_predim(a, {0, 2, 3}) - naive_predim(a, {0, 2}) == -1
+        assert check_strong(a, {0, 2}) == (False, StrongWitness((0, 1, 2, 3), -2))
+        assert strong_hull(a, {0, 2}) == naive_strong_hull(a, {0, 2}) == frozenset(range(4))
+
     def test_in_class_examples(self):
         assert in_class(NaryStructure.of(P31, [], []))
         assert in_class(NaryStructure.of(P31, [0, 1, 2], [(0, 1, 2), (0, 2, 1)]))
@@ -107,6 +116,12 @@ class TestIsStrong:
             assert in_class(induced(a, sub))
 
 
+def naive_witness(a, base):
+    """`check_strong`'s witness for a base that is not strong: the hull, and its
+    predimension over the base."""
+    return tuple(sorted(naive_strong_hull(a, base))), naive_min_over(a, base) - naive_predim(a, base)
+
+
 class TestOracleAgreement:
     def test_nary_exhaustive_small(self):
         pool = list(itertools.permutations(range(4), 3))
@@ -120,8 +135,7 @@ class TestOracleAgreement:
                 expect = naive_is_strong(a, base)
                 assert got[0] == expect
                 if not expect:
-                    wit = naive_strong_witness(a, base)
-                    assert (got[1].violating, got[1].relative_value) == wit
+                    assert (got[1].violating, got[1].relative_value) == naive_witness(a, base)
 
     def test_clique_random(self):
         rng = random.Random(2)
@@ -133,8 +147,7 @@ class TestOracleAgreement:
             got = check_strong(a, base)
             assert got[0] == naive_is_strong(a, base)
             if not got[0]:
-                wit = naive_strong_witness(a, base)
-                assert (got[1].violating, got[1].relative_value) == wit
+                assert (got[1].violating, got[1].relative_value) == naive_witness(a, base)
 
     def test_larger_clique_params(self):
         rng = random.Random(3)
@@ -257,7 +270,7 @@ class TestStrongHull:
             assert ok == (hull == base)
             if not ok:
                 not_strong += 1
-                assert set(witness.violating) <= hull
+                assert frozenset(witness.violating) == hull
         assert not_strong >= 3
 
 
@@ -284,7 +297,7 @@ def bench_in_class(a):
 
 def search_in_class(a):
     ev = predimension._Evaluator(a)
-    return predimension._min_over(ev, 0)[0] >= 0
+    return ev.value(predimension._least_minimiser(ev, 0)) >= 0
 
 
 def pushed_out_of_class(a, rng):
@@ -352,16 +365,30 @@ class TestClassVerdict:
 
 
 def counted_searches(monkeypatch):
-    """The tie-break of every `_min_over` call from here on, in call order."""
+    """The base mask of every `_least_minimiser` call from here on, in call order."""
     calls = []
-    inner = predimension._min_over
+    inner = predimension._least_minimiser
 
-    def counted(ev, base, tilt=0):
-        calls.append(tilt)
-        return inner(ev, base, tilt)
+    def counted(ev, base):
+        calls.append(base)
+        return inner(ev, base)
 
-    monkeypatch.setattr(predimension, "_min_over", counted)
+    monkeypatch.setattr(predimension, "_least_minimiser", counted)
     return calls
+
+
+def test_one_search_per_strongness_question(monkeypatch):
+    # the three strongness questions share one search; the flow answers the rest
+    a = NaryStructure.of(P31, range(5), [(3, 4, 0), (3, 4, 1), (3, 4, 2)])
+    calls = counted_searches(monkeypatch)
+    bmask = predimension._evaluator(a).mask({0, 1, 2})
+    for ask in (is_strong, strong_hull, check_strong):
+        calls.clear()
+        ask(a, {0, 1, 2})
+        assert calls == [bmask], ask.__name__
+    calls.clear()
+    assert in_class(a) and rank(a, {0, 1, 2}) == 2 and closure(a, {0}) == {0}
+    assert calls == []
 
 
 def tuple_path(size):
@@ -380,7 +407,7 @@ CROWDED_CHAIN = CLIQUE_CHAIN[:-3] + [[(x,), (y,)] for x, y in
 
 class TestClassVerdictAtScale:
     """1500-element inputs, decided by the unit placement alone: `in_class` makes no
-    `_min_over` call."""
+    `_least_minimiser` call."""
 
     def test_tuple_path(self, monkeypatch):
         calls = counted_searches(monkeypatch)
@@ -786,15 +813,14 @@ class TestContraction:
             ev = predimension._Evaluator(a)
             for bmask in [ev.mask(base) for base in bases] + [ev.full]:
                 predimension._contract(ev, bmask)
-                for tilt in (0, 1):
-                    predimension._min_over(ev, bmask, tilt)
+                predimension._least_minimiser(ev, bmask)
         assert calls == []
 
 
 class TestKernel:
     """The kernel `_contract` returns, the counting groups' members inside `top`,
     has the structure's predimension on every X with base <= X <= top, so the
-    search and the strong witness evaluate on it alone."""
+    search evaluates on it alone."""
 
     @staticmethod
     def check_bases(b, bases, rng):
@@ -847,7 +873,7 @@ class TestStrongnessAtScale:
         assert strong_hull(self.A, {0, 1, 3, 4}) == frozenset(range(5))
 
     # On the cycle every element lies in three tuples, so the contraction
-    # drops none and `_min_over`'s dfs recurses once per free element, 1099
+    # drops none and `_least_minimiser`'s dfs recurses once per free element, 1099
     # deep.  The flow answers at once.  Pinned until strongness runs on the flow.
     @pytest.mark.xfail(strict=True, raises=RecursionError,
                        reason="the branch-and-bound recurses once per free element")

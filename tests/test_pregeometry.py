@@ -9,11 +9,27 @@ from pregeom import (CliqueStructure, ClassParams, DomainError, GrowthSchedule,
 from pregeom import predimension
 from pregeom.gen import (random_clique_in_class, random_nary_in_class,
                          random_subset)
-from pregeom.oracles import (naive_closure, naive_closure_union_formula, naive_dims,
-                             naive_min_over, subsets)
+from pregeom.oracles import naive_closure, naive_min_over, naive_predim, subsets
 
 P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)
+
+
+def naive_closure_union_formula(struct, base):
+    """The union of all sets X with predim(X / X intersect base) <= 0."""
+    base = frozenset(base)
+    out = set(base)
+    for x in subsets(struct.universe):
+        if naive_predim(struct, x) - naive_predim(struct, x & base) <= 0:
+            out |= x
+    return frozenset(out)
+
+
+def naive_dims(struct, base):
+    """Literal definition: least size of a subset with the same closure."""
+    base = frozenset(base)
+    target = naive_closure(struct, base)
+    return min(len(x) for x in subsets(base) if naive_closure(struct, x) == target)
 
 
 def in_class_samples(seed, count, kind="nary"):
@@ -57,14 +73,14 @@ class TestClosure:
     def test_one_search_per_closure(self, monkeypatch):
         a = grow(GrowthSchedule("nary", P31, 12, 3, 0)).final
         assert in_class(a)  # warms the evaluator and its placement for base = ∅
-        inner = predimension._min_over
+        inner = predimension._least_minimiser
         calls = []
 
-        def counted(ev, base, tilt=0):
-            calls.append(tilt)
-            return inner(ev, base, tilt)
+        def counted(ev, base):
+            calls.append(base)
+            return inner(ev, base)
 
-        monkeypatch.setattr(predimension, "_min_over", counted)
+        monkeypatch.setattr(predimension, "_least_minimiser", counted)
         # rank and closure each read one unit placement and run no subset search
         rank(a, {a.sorted_universe()[0]})
         assert calls == []

@@ -229,7 +229,7 @@ def test_superset_minimum_search_stays_in_predimension():
     # the strongness questions reach the search, and the class verdict, rank
     # and closure reach the max-flow, only through predimension's public
     # functions, so each kernel has one owner
-    private = {"_min_over", "_contract", "_placement", "_augment"}
+    private = {"_least_minimiser", "_contract", "_placement", "_augment"}
     named = {}
     for path in sorted(Path(oracles.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
