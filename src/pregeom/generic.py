@@ -21,12 +21,10 @@ from typing import Iterable, Optional, Union
 from . import structfile
 from .amalgam import amalgam
 from .errors import DomainError, FormatError
-from .predimension import in_class, is_strong
+from .predimension import _require_strong_pair, in_class, is_strong
 from .structures import (CliqueStructure, ClassParams, Embedding,
-                         NaryStructure, Structure, induced, iter_embeddings,
-                         relabel)
-
-_ENUMERATION_GUARD = 2_000_000
+                         NaryStructure, Structure, _count_guard, induced,
+                         iter_embeddings, relabel)
 
 
 def empty_structure(kind: str, params: ClassParams) -> Structure:
@@ -35,12 +33,6 @@ def empty_structure(kind: str, params: ClassParams) -> Structure:
     if kind == "clique":
         return CliqueStructure(params, frozenset(), frozenset())
     raise DomainError(f"unknown structure kind {kind!r}")
-
-
-def _count_guard(total: int, what: str) -> None:
-    if total > _ENUMERATION_GUARD:
-        raise DomainError(f"enumeration of {what} would visit about {total} candidates; "
-                          f"reduce the size bounds")
 
 
 def _move_tuple(perm: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
@@ -336,12 +328,7 @@ def genericity_check(m: Structure, base: Iterable[int], b: Structure) -> Optiona
         raise DomainError("base is not contained in the stage universe")
     if not is_strong(m, a):
         raise DomainError("base is not self-sufficient in the stage")
-    if not a <= b.universe or induced(b, a) != induced(m, a):
-        raise DomainError("b does not extend the induced structure on the base")
-    if not in_class(b):
-        raise DomainError("b is not in its class")
-    if not is_strong(b, a):
-        raise DomainError("the base is not self-sufficient in b")
+    _require_strong_pair(induced(m, a), b)
     for emb in iter_embeddings(b, m, fixed={e: e for e in a}):
         if is_strong(m, emb.image):
             return emb

@@ -15,8 +15,9 @@ from typing import Optional
 
 from .amalgam import free_amalgam, standard_amalgam
 from .errors import DomainError
-from .predimension import in_class, is_strong, min_predim_over, predim_rel
-from .pregeometry import max_ground_cap, same_pregeometry
+from .predimension import (_require_strong_pair, in_class, is_strong, min_predim_over,
+                           predim_rel)
+from .pregeometry import MAX_GROUND, same_pregeometry
 from .reports import GadgetEntry, GadgetReport, fmt_clique, fmt_tuple
 from .structures import (CliqueStructure, ClassParams, NaryStructure, RTuple,
                          Structure, canonical_key, induced, induced_clique,
@@ -83,17 +84,6 @@ def _check_block_arity(params: ClassParams) -> int:
     return blocks
 
 
-def _require_strong_pair(a: Structure, b: Structure) -> None:
-    if a.params != b.params or a.kind != b.kind:
-        raise DomainError("the pair has mismatched kinds or parameters")
-    if not a.universe <= b.universe or induced(b, a.universe) != a:
-        raise DomainError("the smaller structure is not induced by the larger one")
-    if not in_class(a) or not in_class(b):
-        raise DomainError("both structures must be in their class")
-    if not is_strong(b, a.universe):
-        raise DomainError("the smaller structure is not self-sufficient in the larger one")
-
-
 def remove_pathologies(a: NaryStructure, b: NaryStructure
                        ) -> tuple[NaryStructure, NaryStructure, GadgetReport]:
     """Trade the new tuples of b over a for permutation-free gadget tuples.
@@ -101,9 +91,8 @@ def remove_pathologies(a: NaryStructure, b: NaryStructure
     Returns (c, d): c extends b, d extends a, both on the same enlarged
     universe, with identical rank tables; no new tuple of d has a distinct
     block-permuted companion in d.  That rank-table equality is re-checked
-    only when the enlarged universe fits the pregeometry cap
-    (`max_ground_cap`, which `PREGEOM_MAX_GROUND` sets); above it the check
-    is skipped.
+    only when the enlarged universe has at most `MAX_GROUND` elements, the
+    largest rank table built; above it the check is skipped.
     """
     if not isinstance(a, NaryStructure) or not isinstance(b, NaryStructure):
         raise DomainError("pathology removal takes two tuple structures")
@@ -147,7 +136,7 @@ def remove_pathologies(a: NaryStructure, b: NaryStructure
             companion = tuple(e for i in perm for e in bl[i])
             if companion in d.relation and companion != t:
                 raise AssertionError("a block-permuted companion survived pathology removal")
-    if len(universe) <= max_ground_cap():
+    if len(universe) <= MAX_GROUND:
         if not same_pregeometry(c, d):
             raise AssertionError("pathology removal changed the rank table")
     return c, d, GadgetReport(tuple(entries))
@@ -192,8 +181,6 @@ def nary_to_clique(a: NaryStructure, a_c: CliqueStructure, b: NaryStructure
         raise DomainError("the tuple structure and its clique companion live on different universes")
     if not in_class(a_c):
         raise DomainError("the clique companion is not in its class")
-    if len(a.universe) > max_ground_cap():
-        raise DomainError("universe above the pregeometry cap")
     if not same_pregeometry(a, a_c):
         raise DomainError("the tuple structure and its clique companion have different rank tables")
     c, d, report = remove_pathologies(a, b)
@@ -267,8 +254,6 @@ def clique_to_nary(a_c: CliqueStructure, a_rs: NaryStructure, b_c: CliqueStructu
     _require_strong_pair(a_c, b_c)
     if not in_class(a_rs):
         raise DomainError("the tuple companion is not in its class")
-    if len(a_c.universe) > max_ground_cap():
-        raise DomainError("universe above the pregeometry cap")
     if not same_pregeometry(a_c, a_rs):
         raise DomainError("the clique structure and its tuple companion have different rank tables")
     for k in b_c.maxcliques:
@@ -335,8 +320,11 @@ class BackAndForthResult:
     rounds: tuple[RoundRecord, ...]
 
 
-def _stage_pool(stage: Structure, ext_bound: int) -> list[Structure]:
-    """Small induced types occurring in a stage: singletons, pairs and relation supports."""
+def _stage_pool(stage: Structure, ext_bound: int) -> dict:
+    """Small induced types occurring in a stage, by canonical key.
+
+    The types are those of singletons, pairs and relation supports.
+    """
     subsets: set[frozenset[int]] = set()
     elems = stage.sorted_universe()
     for e in elems:
@@ -349,8 +337,7 @@ def _stage_pool(stage: Structure, ext_bound: int) -> list[Structure]:
     else:
         for k in stage.maxcliques:
             subsets.add(frozenset(e for t in k for e in t))
-    seen = set()
-    out = []
+    out = {}
     for sub in sorted(subsets, key=sorted):
         if not 0 < len(sub) <= ext_bound:
             continue
@@ -360,10 +347,8 @@ def _stage_pool(stage: Structure, ext_bound: int) -> list[Structure]:
                    for t1, t2 in itertools.combinations(sorted(k), 2)):
                 continue
         key = canonical_key(piece)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(structure_from_key(key))
+        if key not in out:
+            out[key] = structure_from_key(key)
     return out
 
 
@@ -384,6 +369,23 @@ def _baseline_pool(kind: str, params: ClassParams, ext_bound: int) -> list[Struc
     return out
 
 
+def _pattern_pool(stage: Structure, ext_bound: int) -> list[Structure]:
+    """The baseline and stage patterns, one per canonical key, largest first.
+
+    A stage type replaces the baseline pattern with its key; ties in size and
+    body are broken by the key.
+    """
+    keyed = {canonical_key(p): p for p in _baseline_pool(stage.kind, stage.params, ext_bound)}
+    keyed.update(_stage_pool(stage, ext_bound))
+
+    def order(item):
+        key, p = item
+        body = len(p.relation) if isinstance(p, NaryStructure) else len(p.maxcliques)
+        return (-len(p.universe), -body, key)
+
+    return [p for _, p in sorted(keyed.items(), key=order)]
+
+
 def _forward_cost(p: NaryStructure) -> int:
     return len(p.universe) + 2 * len(p.relation)
 
@@ -401,11 +403,8 @@ def back_and_forth(stage1: NaryStructure, stage2: CliqueStructure,
     with a single-tuple and a disjoint-clique baseline.
 
     Each round plants the first pattern, in a fixed order, that fits the room
-    left under the pregeometry cap (`max_ground_cap`).  So the environment
-    variable `PREGEOM_MAX_GROUND`, which sets that cap, changes which
-    patterns are planted and so the result.
+    left under `MAX_GROUND`, the largest universe whose rank table is built.
     """
-    cap = max_ground_cap()
     _check_cross_params(stage1.params, stage2.params)
     iso = start or PartialPgIso(())
     mapping = iso.mapping
@@ -420,15 +419,8 @@ def back_and_forth(stage1: NaryStructure, stage2: CliqueStructure,
     back = {v: k for k, v in mapping.items()}
     q_work = relabel(induced_clique(stage2, iso.codomain), back)
 
-    pool_n = _baseline_pool("nary", stage1.params, ext_bound) + _stage_pool(stage1, ext_bound)
-    pool_c = _baseline_pool("clique", stage2.params, ext_bound) + _stage_pool(stage2, ext_bound)
-
-    def pool_order(p: Structure):
-        body = len(p.relation) if isinstance(p, NaryStructure) else len(p.maxcliques)
-        return (-len(p.universe), -body, canonical_key(p))
-
-    pool_n = sorted({canonical_key(p): p for p in pool_n}.values(), key=pool_order)
-    pool_c = sorted({canonical_key(p): p for p in pool_c}.values(), key=pool_order)
+    pool_n = _pattern_pool(stage1, ext_bound)
+    pool_c = _pattern_pool(stage2, ext_bound)
 
     fresh_from = max(itertools.chain(stage1.universe, stage2.universe, [0])) + 1
     records = []
@@ -436,7 +428,7 @@ def back_and_forth(stage1: NaryStructure, stage2: CliqueStructure,
         forward = i % 2 == 0
         pool = pool_n if forward else pool_c
         cost = _forward_cost if forward else (lambda p: len(p.universe))
-        room = cap - len(n_work.universe)
+        room = MAX_GROUND - len(n_work.universe)
         fitting = [p for p in pool if cost(p) <= room]
         if not fitting:
             raise DomainError(f"round {i + 1} has no extension fitting the universe cap")

@@ -65,7 +65,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import DomainError
-from .structures import NaryStructure, Structure, validate
+from .structures import NaryStructure, Structure, induced, validate
 
 
 class _Evaluator:
@@ -521,3 +521,16 @@ def strong_hull(a: Structure, base: Iterable[int]) -> frozenset[int]:
     """
     ev = _evaluator(a)
     return ev.unmask(_least_minimiser(ev, ev.mask(base)))
+
+
+def _require_strong_pair(a: Structure, b: Structure) -> None:
+    """Refuse (a, b) with DomainError unless a is an in-class, self-sufficient
+    substructure of the in-class b, of the same kind and parameters."""
+    if a.params != b.params or a.kind != b.kind:
+        raise DomainError("the pair has mismatched kinds or parameters")
+    if not a.universe <= b.universe or induced(b, a.universe) != a:
+        raise DomainError("the smaller structure is not induced by the larger one")
+    if not in_class(a) or not in_class(b):
+        raise DomainError("both structures must be in their class")
+    if not is_strong(b, a.universe):
+        raise DomainError("the smaller structure is not self-sufficient in the larger one")

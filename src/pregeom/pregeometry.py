@@ -18,7 +18,6 @@ full in every maximum placement.  Neither runs a subset search.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -27,21 +26,8 @@ from .errors import DomainError
 from .predimension import _evaluator, largest_minimiser, min_predim_over
 from .structures import Structure
 
-DEFAULT_MAX_GROUND = 18
-ENV_MAX_GROUND = "PREGEOM_MAX_GROUND"
-
-
-def max_ground_cap() -> int:
-    raw = os.environ.get(ENV_MAX_GROUND)
-    if raw is None:
-        return DEFAULT_MAX_GROUND
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{ENV_MAX_GROUND} must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise DomainError(f"{ENV_MAX_GROUND} must be non-negative, got {cap}")
-    return cap
+# the largest ground set a full rank table (2^n entries) is built for
+MAX_GROUND = 18
 
 
 def _require_in_class(struct: Structure) -> None:
@@ -134,22 +120,17 @@ def closure(a: Structure, subset: Iterable[int]) -> frozenset[int]:
 def pregeometry_of(a: Structure) -> Pregeometry:
     """The pregeometry of an in-class structure, with its full rank table.
 
-    The ground set must fit the cap (`max_ground_cap`) and `rank_table_of`'s
-    22-element ceiling; both raise DomainError.
+    `rank_table_of` refuses grounds above `MAX_GROUND` and out-of-class
+    structures with DomainError.
     """
-    _require_in_class(a)
-    cap = max_ground_cap()
-    ground = tuple(a.sorted_universe())
-    if len(ground) > cap:
-        raise DomainError(f"ground set has {len(ground)} elements, above the cap {cap}")
-    return Pregeometry(ground, rank_table_of(a))
+    return Pregeometry(tuple(a.sorted_universe()), rank_table_of(a))
 
 
 @lru_cache(maxsize=64)
 def rank_table_of(a: Structure) -> tuple[int, ...]:
-    """Rank of every subset mask of the sorted universe (capped to keep runs bounded)."""
-    if len(a.universe) > 22:
-        raise DomainError("universe too large for a full rank table")
+    """Rank of every subset mask of the sorted universe, for at most `MAX_GROUND` elements."""
+    if len(a.universe) > MAX_GROUND:
+        raise DomainError(f"ground set has {len(a.universe)} elements, above the cap {MAX_GROUND}")
     _require_in_class(a)
     return tuple(_rank_table(_evaluator(a)))
 

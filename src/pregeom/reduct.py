@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError
-from .predimension import _evaluator, in_class, is_strong
+from .predimension import _evaluator, _require_strong_pair, in_class, is_strong
 from .reports import GadgetEntry, GadgetReport, fmt_clique, fmt_tuple
 from .structures import (CliqueStructure, NaryStructure, RTuple,
                          extend_clique, induced_clique, induced_nary,
@@ -259,21 +259,12 @@ def lift(a: NaryStructure, b_c: CliqueStructure) -> tuple[NaryStructure, GadgetR
     """
     _require_nary(a, "the base")
     _require_cliques(b_c, "the extension")
-    if a.params != b_c.params:
-        raise DomainError("parameter mismatch between the structure and the clique extension")
     if not in_class(a):
         raise DomainError("the tuple structure is not in its class")
-    if not in_class(b_c):
-        raise DomainError("the clique extension is not in its class")
     a_univ = frozenset(a.universe)
-    if not a_univ <= b_c.universe:
-        raise DomainError("the clique extension does not contain the base universe")
     witnesses = _maximal_witnesses(a)
     a_c = CliqueStructure(a.params, a.universe, frozenset(witnesses))
-    if induced_clique(b_c, a_univ) != a_c:
-        raise DomainError("the clique extension does not induce the reduct on the base universe")
-    if not is_strong(b_c, a_univ):
-        raise DomainError("the reduct is not self-sufficient in the clique extension")
+    _require_strong_pair(a_c, b_c)
 
     s = a.params.s
     entries = []

@@ -11,12 +11,21 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 from typing import Iterable, Optional, Union
 
 from .errors import DomainError
 
 RTuple = tuple[int, ...]
 Clique = frozenset[RTuple]
+
+_ENUMERATION_GUARD = 2_000_000
+
+
+def _count_guard(total: int, what: str) -> None:
+    if total > _ENUMERATION_GUARD:
+        raise DomainError(f"enumeration of {what} would visit about {total} candidates; "
+                          f"reduce the size bounds")
 
 
 @dataclass(frozen=True)
@@ -223,13 +232,14 @@ def canonical_key(a: Structure, subset: Optional[frozenset[int]] = None):
 
     With `subset`, canonicalises the pair (structure, marked subset), which
     must lie in the universe.  Only meant for small structures; the search is
-    factorial in the universe.
+    factorial in the universe, so from 10 elements on it raises DomainError.
     """
     if subset is not None and not a.universe.issuperset(subset):
         stray = sorted(set(subset) - a.universe)
         raise DomainError(f"subset {stray} is not contained in the universe")
     elems = a.sorted_universe()
     m = len(elems)
+    _count_guard(factorial(m), f"orderings of {m} elements")
     encode = _encode_nary if isinstance(a, NaryStructure) else _encode_clique
     best = None
     for perm in itertools.permutations(range(m)):

@@ -74,18 +74,23 @@ def test_cli_selftest_wiring():
         assert cmd in out.stdout
 
 
-def test_env_cap_respected_end_to_end(tmp_path):
-    big = NaryStructure.of(ClassParams(3, 1), range(7), [])
-    path = tmp_path / "big.txt"
-    path.write_text(serialize(big))
-    out = subprocess.run([sys.executable, "-m", "pregeom.cli", "pg", str(path)],
-                         capture_output=True, text=True,
-                         env=_child_env(PREGEOM_MAX_GROUND="5"), cwd=ROOT)
+def test_env_cap_ignored_end_to_end(tmp_path):
+    # the rank-table limit is a constant: PREGEOM_MAX_GROUND neither raises nor lowers it
+    def pg(size, cap):
+        path = tmp_path / f"free{size}.txt"
+        path.write_text(serialize(NaryStructure.of(ClassParams(3, 1), range(size), [])))
+        return subprocess.run([sys.executable, "-m", "pregeom.cli", "pg", str(path)],
+                              capture_output=True, text=True,
+                              env=_child_env(PREGEOM_MAX_GROUND=cap), cwd=ROOT)
+
+    out = pg(19, "30")
     assert out.returncode == 1
-    assert "cap" in out.stderr
+    assert "above the cap 18" in out.stderr
     # exit 1 must come from the CLI's DomainError handler, not a failed import
     assert out.stderr.startswith("error:")
     assert "Traceback" not in out.stderr
+    out = pg(7, "5")
+    assert out.returncode == 0, out.stderr
 
 
 def test_undefinability_pair_with_clique_seed():

@@ -14,10 +14,9 @@ import pytest
 
 from pregeom import (ClassParams, CliqueStructure, DomainError, NaryStructure,
                      canonical_key, in_class, is_strong)
-from pregeom.generic import (_ENUMERATION_GUARD, enumerate_clique_structures,
-                             enumerate_extension_pairs, enumerate_nary_structures,
-                             enumerate_structures)
-from pregeom.structures import structure_from_key
+from pregeom.generic import (enumerate_clique_structures, enumerate_extension_pairs,
+                             enumerate_nary_structures, enumerate_structures)
+from pregeom.structures import _ENUMERATION_GUARD, structure_from_key
 
 
 def _collect(candidates, in_class_only, up_to_iso):

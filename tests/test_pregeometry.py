@@ -10,6 +10,7 @@ from pregeom import predimension
 from pregeom.gen import (random_clique_in_class, random_nary_in_class,
                          random_subset)
 from pregeom.oracles import naive_closure, naive_min_over, naive_predim, subsets
+from pregeom.pregeometry import rank_table_of
 
 P31 = ClassParams(3, 1)
 P21 = ClassParams(2, 1)
@@ -204,18 +205,22 @@ class TestPregeometryOf:
             for b in subsets(a.universe):
                 assert pg.rank(b) == rank(a, b) == naive_min_over(a, b)
 
-    def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setenv("PREGEOM_MAX_GROUND", "3")
-        a = NaryStructure.of(P31, range(5), [])
-        with pytest.raises(DomainError):
-            pregeometry_of(a)
-        monkeypatch.delenv("PREGEOM_MAX_GROUND")
-        pregeometry_of(a)
+    def test_cap_enforced(self):
+        # one limit for every full rank table: 18 elements answer, 19 raise
+        big = NaryStructure.of(P31, range(19), [])
+        for build in (pregeometry_of, rank_table_of, lambda a: same_pregeometry(a, a)):
+            with pytest.raises(DomainError, match="19 elements, above the cap 18"):
+                build(big)
+        a = NaryStructure.of(P31, range(18), [])
+        assert len(rank_table_of(a)) == 1 << 18
+        assert pregeometry_of(a).rank(a.universe) == 18
+        assert same_pregeometry(a, a)
 
     def test_table_ceiling_under_raised_cap(self, monkeypatch):
+        # the limit is a constant: the environment cannot raise it
         monkeypatch.setenv("PREGEOM_MAX_GROUND", "30")
-        with pytest.raises(DomainError):
-            pregeometry_of(NaryStructure.of(P31, range(23), []))
+        with pytest.raises(DomainError, match="above the cap 18"):
+            pregeometry_of(NaryStructure.of(P31, range(19), []))
 
     @pytest.mark.parametrize("size", [17, 18])
     def test_large_ground_matches_direct(self, size):

@@ -262,6 +262,24 @@ def test_every_module_uses_what_it_imports():
     assert stale == {}
 
 
+def test_no_module_reads_the_environment():
+    # every answer is a function of the inputs alone
+    readers = {}
+    for path in sorted(Path(oracles.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [a.name.partition(".")[0] for a in node.names]
+                     if isinstance(node, ast.Import) else [])
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names.append("os")
+            hits = {"os", "environ", "getenv"} & set(names)
+            if hits:
+                readers.setdefault(path.name, set()).update(hits)
+    assert readers == {}
+
+
 PUBLIC_NAMES = [
     "BackAndForthResult", "Chain", "ClassParams", "CliqueStructure", "DomainError",
     "Embedding", "FormatError", "GadgetEntry", "GadgetReport", "GrowthSchedule",

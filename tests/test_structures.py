@@ -199,6 +199,13 @@ class TestCanonicalKey:
         a = nary([0, 1, 2], [(0, 1, 2)])
         assert canonical_key(a, frozenset({0})) != canonical_key(a, frozenset({2}))
 
+    @pytest.mark.parametrize("a", [nary(range(10), []), clq(range(10), [])],
+                             ids=["nary", "clique"])
+    def test_ten_elements_raise(self, a):
+        # 10! orderings exceed the enumeration guard; 9! = 362880 do not
+        with pytest.raises(DomainError, match="3628800 candidates"):
+            canonical_key(a)
+
     @pytest.mark.parametrize("a", [nary([0, 1, 2], [(0, 1, 2)]), clq([0, 1, 2], [[(0,), (1,)]])],
                              ids=["nary", "clique"])
     def test_marked_subset_outside_the_universe(self, a):
